@@ -26,21 +26,15 @@ from .patterns import (
     PatternEmbedding,
     PATTERNS,
     class_membership,
-    count_induced,
     find_induced,
-    get_pattern,
     has_induced,
     is_class_member,
-    is_free,
 )
 from .oracles import (
     ChromaticResult,
     Coloring,
-    StructureReport,
     chromatic_number,
     clique_number,
-    is_perfect_bruteforce,
-    structure_checks,
     validate_coloring,
 )
 from .colorer import (

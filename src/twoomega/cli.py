@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .colorer import (
     ColorerError,
@@ -30,7 +30,7 @@ from .colorer import (
     check_certificate,
     color_bounded,
 )
-from .graphs import Graph, GraphParseError, _graph_nocheck, graph6_decode, graph6_encode
+from .graphs import Graph, GraphParseError, _graph_nocheck, graph6_encode, parse_graph6_lines
 from .oracles import chromatic_number, clique_number
 from .patterns import class_membership, is_class_member
 from .witnesses import EXPECTED_REPORTS, WITNESS_BUILDERS, verify_witness
@@ -38,16 +38,8 @@ from .witnesses import EXPECTED_REPORTS, WITNESS_BUILDERS, verify_witness
 
 @dataclass
 class RunConfig:
-    mode: str = "check"
-    input: str = "-"
-    n: int | None = None
-    p: float = 0.5
-    count: int = 1
-    seed: int = 1
-    strict: bool = False
-    assert_proofs: bool = False
     oracle: bool = False
-    fmt: str = "json"
+    assert_proofs: bool = False
     workers: int = 1
 
 
@@ -71,7 +63,7 @@ class ScanSummary:
     branch_histogram: dict = field(default_factory=dict)
 
 
-CSV_FIELDS = ["graph6", "n", "omega", "chi", "colors_used", "branch", "ok", "millis"]
+CSV_FIELDS = [f.name for f in fields(CorpusRecord)]
 
 
 # -- deterministic RNG --------------------------------------------------------
@@ -126,6 +118,8 @@ def sample_class(n: int, p: float, count: int, seed: int):
     """Rejection-sample ``count`` class members from G(n, p); deterministic
     under the seed.  Returns (graphs, stats); gives up if the acceptance
     rate over a million draws falls below 1e-6."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     if not 0 < p < 1:
         raise ValueError("edge probability must be strictly between 0 and 1")
     rng = SplitMix64(seed)
@@ -172,7 +166,7 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
 def _process_member(g: Graph, cfg: RunConfig) -> CorpusRecord:
     t0 = time.perf_counter()
     try:
-        cert = color_bounded(g, strict=cfg.strict, assert_proofs=cfg.assert_proofs)
+        cert = color_bounded(g, assert_proofs=cfg.assert_proofs)
         ok = bool(check_certificate(g, cert))
         used = cert.coloring.palette_size
         omega = cert.omega
@@ -202,85 +196,75 @@ def _process_member(g: Graph, cfg: RunConfig) -> CorpusRecord:
     )
 
 
-def _scan_masks(args) -> tuple[int, list[CorpusRecord]]:
+def _scan_chunk(args) -> tuple[list[CorpusRecord], ScanSummary]:
     n, lo, hi, cfg = args
-    seen = 0
-    records = []
-    for mask in range(lo, hi):
-        seen += 1
-        g = _graph_from_mask(n, mask)
-        if not is_class_member(g):
-            continue
-        records.append(_process_member(g, cfg))
-    return seen, records
+    records, summary = scan_stream((_graph_from_mask(n, m) for m in range(lo, hi)), cfg)
+    return list(records), summary
 
 
 def scan_exhaustive(n: int, cfg: RunConfig | None = None):
     """Color-and-verify every labeled n-vertex class member.
 
-    Returns (records, summary): ``records`` is a generator of CorpusRecord
-    in deterministic input order, and ``summary`` fills in as the stream is
-    consumed (complete after exhaustion).  Built-in generation is capped at
-    n=7 (2^21 labeled graphs); feed larger graphs through scan_stream.
+    Returns (records, summary) like scan_stream.  Built-in generation is
+    capped at n=7 (2^21 labeled graphs); feed larger graphs through
+    scan_stream.  With ``cfg.workers > 1`` a process pool scans chunks of
+    the mask range, and the summary fills in one chunk at a time.
     """
-    cfg = cfg or RunConfig(mode="scan")
+    cfg = cfg or RunConfig()
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     if n > SCAN_MAX_N:
         raise ValueError(
             f"exhaustive generation is capped at n={SCAN_MAX_N}; "
             f"stream graph6 input for larger n"
         )
     total = 1 << (n * (n - 1) // 2)
+    workers = max(1, cfg.workers)
+    if workers == 1 or total < 1 << 10:
+        return scan_stream((_graph_from_mask(n, m) for m in range(total)), cfg)
     summary = ScanSummary()
 
     def run():
-        workers = max(1, cfg.workers)
-        if workers == 1 or total < 1 << 10:
-            summary.graphs_seen = total
-            for mask in range(total):
-                g = _graph_from_mask(n, mask)
-                if not is_class_member(g):
-                    continue
-                yield _tally(_process_member(g, cfg), summary)
-        else:
-            import multiprocessing as mp
+        import multiprocessing as mp
 
-            # pool.imap keeps chunk order, so records stay in input order
-            chunk = max(1 << 8, total // (workers * 16))
-            ranges = [
-                (n, lo, min(lo + chunk, total), cfg)
-                for lo in range(0, total, chunk)
-            ]
-            with mp.Pool(workers) as pool:
-                for seen, recs in pool.imap(_scan_masks, ranges):
-                    summary.graphs_seen += seen
-                    for rec in recs:
-                        yield _tally(rec, summary)
+        # pool.imap keeps chunk order, so records stay in input order
+        chunk = max(1 << 8, total // (workers * 16))
+        ranges = [(n, lo, min(lo + chunk, total), cfg) for lo in range(0, total, chunk)]
+        hist = summary.branch_histogram
+        with mp.Pool(workers) as pool:
+            for recs, part in pool.imap(_scan_chunk, ranges):
+                summary.graphs_seen += part.graphs_seen
+                summary.members += part.members
+                summary.violations += part.violations
+                for branch, count in part.branch_histogram.items():
+                    hist[branch] = hist.get(branch, 0) + count
+                yield from recs
 
     return run(), summary
 
 
-def _tally(rec: CorpusRecord, summary: ScanSummary) -> CorpusRecord:
-    summary.members += 1
-    summary.branch_histogram[rec.branch] = (
-        summary.branch_histogram.get(rec.branch, 0) + 1
-    )
-    if not rec.ok:
-        summary.violations += 1
-    return rec
-
-
 def scan_stream(graphs, cfg: RunConfig | None = None):
-    """Scan an arbitrary iterable of graphs (e.g. a graph6 stream).
-    Returns (record generator, live summary) like scan_exhaustive."""
-    cfg = cfg or RunConfig(mode="scan")
+    """Color-and-verify the class members of an iterable of graphs.
+
+    Returns (records, summary): ``records`` is a generator of CorpusRecord
+    in input order, and ``summary`` counts each graph as the generator
+    pulls it from ``graphs`` (complete after exhaustion).
+    """
+    cfg = cfg or RunConfig()
     summary = ScanSummary()
+    hist = summary.branch_histogram
 
     def run():
         for g in graphs:
             summary.graphs_seen += 1
             if not is_class_member(g):
                 continue
-            yield _tally(_process_member(g, cfg), summary)
+            rec = _process_member(g, cfg)
+            summary.members += 1
+            hist[rec.branch] = hist.get(rec.branch, 0) + 1
+            if not rec.ok:
+                summary.violations += 1
+            yield rec
 
     return run(), summary
 
@@ -289,16 +273,7 @@ def scan_stream(graphs, cfg: RunConfig | None = None):
 
 
 def _record_dict(rec: CorpusRecord) -> dict:
-    return {
-        "graph6": rec.graph6,
-        "n": rec.n,
-        "omega": rec.omega,
-        "chi": rec.chi,
-        "colors_used": rec.colors_used,
-        "branch": rec.branch,
-        "ok": rec.ok,
-        "millis": rec.millis,
-    }
+    return {k: getattr(rec, k) for k in CSV_FIELDS}
 
 
 def emit_records(records, fmt: str, out) -> None:
@@ -319,14 +294,7 @@ def emit_records(records, fmt: str, out) -> None:
 def _read_graphs(path: str):
     stream = sys.stdin if path == "-" else open(path, "r", encoding="ascii")
     try:
-        for lineno, line in enumerate(stream, 1):
-            s = line.strip()
-            if not s or s == ">>graph6<<":
-                continue
-            try:
-                yield graph6_decode(s)
-            except GraphParseError as exc:
-                raise GraphParseError(f"line {lineno}: {exc}") from None
+        yield from parse_graph6_lines(stream)
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -358,8 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="recompute the report instead of using pinned values")
 
     p_scan = sub.add_parser("scan", help="exhaustive verification over all labeled graphs")
-    p_scan.add_argument("--n", type=int, help="vertex count for built-in generation (<= 7)")
-    p_scan.add_argument("--input", help="graph6 stream instead of built-in generation")
+    source = p_scan.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int, help="vertex count for built-in generation (<= 7)")
+    source.add_argument("--input", help="graph6 stream instead of built-in generation")
     p_scan.add_argument("--oracle", action="store_true", help="also compute exact chi")
     p_scan.add_argument("--assert-proofs", action="store_true")
     p_scan.add_argument("--format", choices=["json", "csv"], default="json")
@@ -459,42 +428,36 @@ def _dispatch(args) -> int:
 
     if args.mode == "scan":
         cfg = RunConfig(
-            mode="scan",
             oracle=args.oracle,
             assert_proofs=args.assert_proofs,
-            fmt=args.format,
             workers=int(os.environ.get("TWOOMEGA_WORKERS", "1")),
         )
-        if args.input:
+        if args.n is None:
             records, summary = scan_stream(_read_graphs(args.input), cfg)
-        elif args.n is not None:
-            records, summary = scan_exhaustive(args.n, cfg)
         else:
-            print("scan needs --n or --input", file=sys.stderr)
-            return 2
-        writer = None
-        if not args.summary_only and args.format == "csv":
-            writer = csv.writer(out)
-            writer.writerow(CSV_FIELDS)
-        reproducer = None
-        for rec in records:
-            if not args.summary_only:
-                if writer is not None:
-                    d = _record_dict(rec)
-                    writer.writerow(["" if d[k] is None else d[k] for k in CSV_FIELDS])
-                else:
-                    out.write(json.dumps(_record_dict(rec), separators=(",", ":")) + "\n")
-            if not rec.ok:
-                reproducer = rec
-                break
+            records, summary = scan_exhaustive(args.n, cfg)
+        violation = []
+
+        def through_first_violation():
+            for rec in records:
+                yield rec
+                if not rec.ok:
+                    violation.append(rec)
+                    return
+
+        if args.summary_only:
+            for _ in through_first_violation():
+                pass
+        else:
+            emit_records(through_first_violation(), args.format, out)
         out.write(json.dumps({
             "graphs_seen": summary.graphs_seen,
             "members": summary.members,
             "violations": summary.violations,
             "branch_histogram": dict(sorted(summary.branch_histogram.items())),
         }, separators=(",", ":")) + "\n")
-        if reproducer is not None:
-            print(f"violation reproducer: {reproducer.graph6}", file=sys.stderr)
+        if violation:
+            print(f"violation reproducer: {violation[0].graph6}", file=sys.stderr)
             return 1
         return 0
 

@@ -299,9 +299,14 @@ def graph6_decode(text: str) -> Graph:
 
 
 def parse_graph6_lines(lines):
-    """Yield graphs from an iterable of text lines, skipping blanks/headers."""
-    for line in lines:
+    """Yield graphs from an iterable of text lines, skipping blanks/headers.
+    A parse error names its 1-based line number."""
+    for lineno, line in enumerate(lines, 1):
         s = line.strip()
         if not s or s == GRAPH6_HEADER:
             continue
-        yield graph6_decode(s)
+        try:
+            g = graph6_decode(s)
+        except GraphParseError as exc:
+            raise GraphParseError(f"line {lineno}: {exc}") from None
+        yield g

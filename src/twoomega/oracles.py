@@ -1,6 +1,6 @@
 """Exact ground-truth computations: clique number, chromatic number,
-coloring validation, bipartite/union-of-cliques structure, and a
-desk-scale perfection check.
+coloring validation, and the 2-coloring and edge witnesses the colorer's
+parts rely on.
 
 The clique solver is branch-and-bound with a greedy-coloring upper bound
 for pruning.  The chromatic solver runs a saturation-driven (first-fail)
@@ -229,19 +229,7 @@ def chromatic_number(g: Graph, time_budget: float | None = None) -> ChromaticRes
     return ChromaticResult(upper, upper, upper, best, False)
 
 
-# -- structure checks --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    is_bipartite: bool
-    two_coloring: Coloring | None
-    odd_cycle: tuple[int, ...] | None
-    is_union_of_cliques: bool
-    cliques: tuple[tuple[int, ...], ...] | None
-    p3_witness: tuple[int, int, int] | None
-    is_independent: bool
-    edge_witness: tuple[int, int] | None
+# -- bipartite and independence witnesses ------------------------------------
 
 
 def two_coloring(g: Graph) -> tuple[Coloring | None, tuple[int, ...] | None]:
@@ -286,85 +274,9 @@ def _root_path(parent, v) -> list[int]:
     return out
 
 
-def components(g: Graph) -> list[int]:
-    """Connected components as masks, ordered by least vertex."""
-    seen = 0
-    out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        out.append(comp)
-        seen |= comp
-    return out
-
-
 def first_edge_in(g: Graph, mask: int) -> tuple[int, int] | None:
     for v in bits(mask):
         rest = g.adj[v] & mask & ~((2 << v) - 1)
         if rest:
             return v, (rest & -rest).bit_length() - 1
     return None
-
-
-def structure_checks(g: Graph) -> StructureReport:
-    """Bipartiteness, union-of-cliques (p3-freeness) and independence, each
-    with a constructive witness."""
-    col2, odd = two_coloring(g)
-
-    cliques: list[tuple[int, ...]] | None = []
-    p3 = None
-    for comp in components(g):
-        verts = bit_list(comp)
-        for v in verts:
-            inside = g.adj[v] & comp
-            for u in bits(inside):
-                missing = inside & ~g.adj[u] & ~(1 << u)
-                if missing:
-                    w = (missing & -missing).bit_length() - 1
-                    p3 = (u, v, w)
-                    break
-            if p3:
-                break
-        if p3:
-            cliques = None
-            break
-        cliques.append(tuple(verts))
-
-    edge = first_edge_in(g, g.full_mask)
-    return StructureReport(
-        is_bipartite=col2 is not None,
-        two_coloring=col2,
-        odd_cycle=odd,
-        is_union_of_cliques=p3 is None,
-        cliques=tuple(cliques) if cliques is not None else None,
-        p3_witness=p3,
-        is_independent=edge is None,
-        edge_witness=edge,
-    )
-
-
-# -- perfection (desk scale) --------------------------------------------------
-
-
-def is_perfect_bruteforce(g: Graph) -> bool:
-    """SPGT-style check: perfect iff neither g nor its complement has an
-    induced odd cycle of length >= 5.  Refuses graphs with more than 16
-    vertices; meant for proof-assertion mode only."""
-    if g.n > 16:
-        raise ValueError("perfection brute force is limited to 16 vertices")
-    from .graphs import complement as _complement, cycle as _cycle
-    from .patterns import Pattern, has_induced
-
-    for h in (g, _complement(g)):
-        for k in range(5, h.n + 1, 2):
-            if has_induced(h, Pattern(f"_c{k}", _cycle(k))):
-                return False
-    return True

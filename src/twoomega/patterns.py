@@ -4,17 +4,13 @@ The catalog is a fixed table of the patterns this package recognizes.
 Detection is exhaustive search over injective maps, pruned by degrees and
 per-level bitmask candidate filtering, so "first embedding" is the
 lexicographically least image tuple and results are reproducible.
-``count_induced`` deliberately takes the dumb route (enumerate vertex
-subsets, isomorphism-check each) so it can serve as an independent oracle
-for the search engine.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, complement, complete, cycle, empty_graph, induced, join, path, union
+from .graphs import Graph, bits, complement, complete, cycle, empty_graph, join, path, union
 
 
 @dataclass(frozen=True)
@@ -109,17 +105,6 @@ def _build_catalog() -> dict[str, Pattern]:
 
 PATTERNS: dict[str, Pattern] = _build_catalog()
 
-_ALIASES = {"c3": "k3"}
-
-
-def get_pattern(pattern_id: str) -> Pattern:
-    pid = pattern_id.lower()
-    pid = _ALIASES.get(pid, pid)
-    try:
-        return PATTERNS[pid]
-    except KeyError:
-        raise ValueError(f"unknown pattern id {pattern_id!r}") from None
-
 
 # -- search engine --------------------------------------------------------
 
@@ -201,75 +186,6 @@ def find_induced(g: Graph, p: Pattern) -> PatternEmbedding | None:
 
 def has_induced(g: Graph, p: Pattern) -> bool:
     return find_induced(g, p) is not None
-
-
-def is_free(g: Graph, ps) -> bool:
-    """True iff g induces none of the given patterns."""
-    return all(not has_induced(g, p) for p in ps)
-
-
-def verify_embedding(g: Graph, emb: PatternEmbedding) -> bool:
-    """Check that the map is an induced-subgraph isomorphism (edges and non-edges)."""
-    p = get_pattern(emb.pattern_id)
-    m = emb.map
-    if len(m) != p.order or len(set(m)) != len(m):
-        return False
-    for i in range(p.order):
-        for j in range(i):
-            if bool(p.graph.adj[i] >> j & 1) != bool(g.adj[m[i]] >> m[j] & 1):
-                return False
-    return True
-
-
-# -- naive subset enumeration (independent oracle) -------------------------
-
-
-def induced_isomorphic(a: Graph, b: Graph) -> bool:
-    """Isomorphism test for small graphs by degree-pruned backtracking."""
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return False
-    deg_a = sorted(a.degree(v) for v in a.vertices())
-    deg_b = sorted(b.degree(v) for v in b.vertices())
-    if deg_a != deg_b:
-        return False
-
-    n = a.n
-    used = [False] * n
-    assign = [0] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        da = a.adj[i]
-        for w in range(n):
-            if used[w] or a.degree(i) != b.degree(w):
-                continue
-            ok = True
-            for j in range(i):
-                if bool(da >> j & 1) != bool(b.adj[w] >> assign[j] & 1):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return extend(0)
-
-
-def count_induced(g: Graph, p: Pattern) -> int:
-    """Number of vertex subsets of g inducing a copy of p (not maps)."""
-    k = p.order
-    if k > g.n:
-        return 0
-    count = 0
-    for subset in itertools.combinations(range(g.n), k):
-        if induced_isomorphic(induced(g, subset), p.graph):
-            count += 1
-    return count
 
 
 # -- class membership -------------------------------------------------------

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import strategies as st
 
-from twoomega.graphs import Graph, bits
+from twoomega.graphs import Graph, bits, induced
+from twoomega.patterns import PATTERNS, Pattern, PatternEmbedding
 
 
 def rand_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -59,6 +61,69 @@ def naive_chromatic(g: Graph) -> int:
         if naive_k_colorable(g, k):
             return k
     raise AssertionError("unreachable: n colors always suffice")
+
+
+def verify_embedding(g: Graph, emb: PatternEmbedding) -> bool:
+    """Check that the map is an induced-subgraph isomorphism (edges and non-edges)."""
+    p = PATTERNS[emb.pattern_id]
+    m = emb.map
+    if len(m) != p.order or len(set(m)) != len(m):
+        return False
+    for i in range(p.order):
+        for j in range(i):
+            if bool(p.graph.adj[i] >> j & 1) != bool(g.adj[m[i]] >> m[j] & 1):
+                return False
+    return True
+
+
+def induced_isomorphic(a: Graph, b: Graph) -> bool:
+    """Isomorphism test for small graphs by degree-pruned backtracking."""
+    if a.n != b.n or a.edge_count != b.edge_count:
+        return False
+    deg_a = sorted(a.degree(v) for v in a.vertices())
+    deg_b = sorted(b.degree(v) for v in b.vertices())
+    if deg_a != deg_b:
+        return False
+
+    n = a.n
+    used = [False] * n
+    assign = [0] * n
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        da = a.adj[i]
+        for w in range(n):
+            if used[w] or a.degree(i) != b.degree(w):
+                continue
+            ok = True
+            for j in range(i):
+                if bool(da >> j & 1) != bool(b.adj[w] >> assign[j] & 1):
+                    ok = False
+                    break
+            if ok:
+                assign[i] = w
+                used[w] = True
+                if extend(i + 1):
+                    return True
+                used[w] = False
+        return False
+
+    return extend(0)
+
+
+def count_induced(g: Graph, p: Pattern) -> int:
+    """Number of vertex subsets of g inducing a copy of p (not maps): the
+    dumb route (enumerate subsets, isomorphism-check each), kept as an
+    oracle independent of the library's search engine."""
+    k = p.order
+    if k > g.n:
+        return 0
+    count = 0
+    for subset in itertools.combinations(range(g.n), k):
+        if induced_isomorphic(induced(g, subset), p.graph):
+            count += 1
+    return count
 
 
 @st.composite

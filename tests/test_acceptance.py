@@ -19,7 +19,7 @@ from twoomega.oracles import (
     validate_coloring,
 )
 from twoomega.oracles import _k_colorable  # white-box: direct infeasibility probe
-from twoomega.patterns import PATTERNS, class_membership, count_induced, has_induced
+from twoomega.patterns import PATTERNS, class_membership, has_induced
 from twoomega.witnesses import (
     EXPECTED_REPORTS,
     groetzsch,
@@ -27,7 +27,7 @@ from twoomega.witnesses import (
     verify_witness,
 )
 
-from conftest import all_graphs, naive_chromatic, rand_graph
+from conftest import all_graphs, count_induced, naive_chromatic, rand_graph
 from test_colorer import BRANCH_SUITE
 
 N7_GRAPHS = 1 << 21
@@ -99,7 +99,7 @@ def test_criterion_2_schlafli_complement(report_line):
 @pytest.mark.slow
 def test_criterion_3_exhaustive_n7(report_line):
     t0 = time.perf_counter()
-    records, summary = scan_exhaustive(7, RunConfig(mode="scan", oracle=True))
+    records, summary = scan_exhaustive(7, RunConfig(oracle=True))
     for rec in records:
         assert rec.ok, f"violation at {rec.graph6}"
         assert rec.chi <= 2 * rec.omega

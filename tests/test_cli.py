@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -19,6 +20,13 @@ from twoomega.patterns import is_class_member
 
 N5_MEMBERS = 979  # pinned after the first exhaustive run
 N6_MEMBERS = 26183
+
+# sha256 of `scan --n 5 --oracle` output with the millis field dropped
+# (see scan_digest): records and summary are byte-identical run to run
+N5_SCAN_DIGESTS = {
+    "json": "41e83a5cc0a3cdc94f90194c70197497cc68d50efd32c0764ab5622869de335b",
+    "csv": "1cfffd655a826b9177ca43d6daa80f5a659c4bd8992351e8171467ceda86c1fb",
+}
 
 
 def run_cli(capsys, *argv, stdin=None, monkeypatch=None):
@@ -126,9 +134,84 @@ def test_scan_n5_pinned_members(capsys, monkeypatch):
 
 
 def test_scan_refuses_large_n(capsys, monkeypatch):
-    code, out, err = run_cli(capsys, "scan", "--n", "8", monkeypatch=monkeypatch)
+    for n, message in [("8", "capped"), ("-1", "n must be non-negative")]:
+        code, out, err = run_cli(capsys, "scan", "--n", n, monkeypatch=monkeypatch)
+        assert code == 2
+        assert message in err
+
+
+@pytest.mark.parametrize("both", [False, True])
+def test_scan_needs_exactly_one_source(tmp_path, capsys, both):
+    p = tmp_path / "graphs.g6"
+    p.write_text("Dhc\n")
+    code = cli_main(["scan", "--n", "4", "--input", str(p)] if both else ["scan"])
+    capsys.readouterr()
     assert code == 2
-    assert "capped" in err
+
+
+def scan_digest(out: str, fmt: str) -> str:
+    """sha256 of scan output with the (timing) millis field dropped."""
+    lines = out.splitlines()
+    if fmt == "json":
+        canon = []
+        for line in lines:
+            d = json.loads(line)
+            d.pop("millis", None)
+            canon.append(json.dumps(d, separators=(",", ":")))
+    else:
+        rows = list(csv.reader(lines[:-1]))
+        col = rows[0].index("millis")
+        canon = [",".join(r[:col] + r[col + 1:]) for r in rows] + [lines[-1]]
+    return hashlib.sha256("".join(c + "\n" for c in canon).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_n5_output_digest(capsys, monkeypatch, fmt):
+    code, out, err = run_cli(capsys, "scan", "--n", "5", "--oracle", "--format", fmt,
+                             monkeypatch=monkeypatch)
+    assert code == 0
+    assert scan_digest(out, fmt) == N5_SCAN_DIGESTS[fmt]
+
+
+def test_scan_summary_counts_as_consumed():
+    records, summary = scan_exhaustive(5)
+    next(records)
+    assert 0 < summary.graphs_seen < 1024
+    assert summary.members == 1
+
+
+def test_scan_parse_error_names_line(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "graphs.g6"
+    p.write_text(">>graph6<<\nDhc\nDh\nD~{\n")
+    code, out, err = run_cli(capsys, "scan", "--input", str(p), monkeypatch=monkeypatch)
+    assert code == 2
+    assert "parse error: line 3:" in err
+
+
+@pytest.mark.parametrize("extra", [["--format", "json"], ["--format", "csv"], ["--summary-only"]])
+def test_scan_stops_at_first_violation(capsys, monkeypatch, extra):
+    import twoomega.cli as cli
+
+    calls = []
+
+    def third_fails(g, cert):
+        calls.append(g)
+        return len(calls) != 3
+
+    monkeypatch.setattr(cli, "check_certificate", third_fails)
+    code, out, err = run_cli(capsys, "scan", "--n", "4", *extra, monkeypatch=monkeypatch)
+    assert code == 1
+    lines = out.strip().split("\n")
+    summary = json.loads(lines[-1])
+    assert summary["members"] == 3 and summary["violations"] == 1
+    assert err == f"violation reproducer: {graph6_encode(calls[2])}\n"
+    if "--summary-only" in extra:
+        assert len(lines) == 1
+    elif "csv" in extra:
+        rows = list(csv.DictReader(io.StringIO("\n".join(lines[:-1]))))
+        assert [r["ok"] for r in rows] == ["True", "True", "False"]
+    else:
+        assert [json.loads(s)["ok"] for s in lines[:-1]] == [True, True, False]
 
 
 def test_scan_stream_input(tmp_path, capsys, monkeypatch):
@@ -170,15 +253,21 @@ def test_sample_library_stats():
     assert [g.adj for g in again] == [g.adj for g in graphs]
 
 
-def test_sample_p_validation():
+def test_sample_p_validation(capsys, monkeypatch):
     with pytest.raises(ValueError):
         sample_class(5, 0.0, 1, 1)
     with pytest.raises(ValueError):
         sample_class(5, 1.0, 1, 1)
+    with pytest.raises(ValueError):
+        sample_class(-1, 0.5, 1, 1)
+    code, out, err = run_cli(capsys, "sample", "--n", "-1", "--p", "0.5", "--count", "1",
+                             monkeypatch=monkeypatch)
+    assert code == 2
+    assert "n must be non-negative" in err
 
 
 def test_csv_and_json_agree_fieldwise():
-    records, summary = scan_exhaustive(4, RunConfig(mode="scan", oracle=True))
+    records, summary = scan_exhaustive(4, RunConfig(oracle=True))
     records = list(records)
     jbuf, cbuf = io.StringIO(), io.StringIO()
     emit_records(records, "json", jbuf)
@@ -201,9 +290,9 @@ def test_csv_and_json_agree_fieldwise():
 
 
 def test_parallel_scan_matches_single_threaded():
-    single, s1 = scan_exhaustive(5, RunConfig(mode="scan"))
+    single, s1 = scan_exhaustive(5, RunConfig())
     single = [(r.graph6, r.branch, r.colors_used, r.omega, r.ok) for r in single]
-    multi, s2 = scan_exhaustive(5, RunConfig(mode="scan", workers=3))
+    multi, s2 = scan_exhaustive(5, RunConfig(workers=3))
     multi = [(r.graph6, r.branch, r.colors_used, r.omega, r.ok) for r in multi]
     assert single == multi
     assert s1.members == s2.members == N5_MEMBERS

@@ -18,9 +18,9 @@ from twoomega.graphs import (
     path,
     union,
 )
-from twoomega.patterns import PATTERNS, induced_isomorphic
+from twoomega.patterns import PATTERNS
 
-from conftest import graph_strategy, rand_graph
+from conftest import graph_strategy, induced_isomorphic, rand_graph
 
 
 def test_neighbors_examples():

@@ -1,14 +1,13 @@
 import pytest
 from hypothesis import given, settings
 
-from twoomega.graphs import complement, complete, cycle, empty_graph, induced, path, union
+from twoomega.graphs import complete, cycle, induced
 from twoomega.oracles import (
     Coloring,
     chromatic_number,
     clique_number,
+    first_edge_in,
     greedy_coloring,
-    is_perfect_bruteforce,
-    structure_checks,
     two_coloring,
     validate_coloring,
 )
@@ -73,37 +72,23 @@ def test_validate_coloring_partial_is_usage_error():
         validate_coloring(complete(2), Coloring((0, 1)))
 
 
-def test_structure_checks_examples():
-    r = structure_checks(cycle(4))
-    assert r.is_bipartite and r.odd_cycle is None
-    r = structure_checks(union(complete(3), complete(2)))
-    assert r.is_union_of_cliques
-    assert sorted(len(c) for c in r.cliques) == [2, 3]
-    r = structure_checks(path(3))
-    assert not r.is_union_of_cliques
-    u, v, w = r.p3_witness
-    assert path(3).has_edge(v, u) and path(3).has_edge(v, w) and not path(3).has_edge(u, w)
-
-
-def test_structure_checks_witnesses(rng):
-    from twoomega.patterns import PATTERNS, has_induced
-
+def test_two_coloring_and_edge_witnesses(rng):
     for _ in range(120):
         g = rand_graph(rng, rng.randrange(0, 9))
-        r = structure_checks(g)
-        assert r.is_union_of_cliques == (not has_induced(g, PATTERNS["p3"]))
-        if r.is_bipartite:
-            ok, _ = validate_coloring(g, r.two_coloring) if g.n else (True, None)
-            assert ok and r.two_coloring.palette_size <= 2
+        col2, cyc = two_coloring(g)
+        if col2 is not None:
+            assert cyc is None
+            ok, _ = validate_coloring(g, col2) if g.n else (True, None)
+            assert ok and col2.palette_size <= 2
         else:
-            cyc = r.odd_cycle
-            assert len(cyc) % 2 == 1
+            assert len(cyc) % 2 == 1 and len(set(cyc)) == len(cyc)
             for i, u in enumerate(cyc):
                 assert g.has_edge(u, cyc[(i + 1) % len(cyc)])
-        if r.is_independent:
+        edge = first_edge_in(g, g.full_mask)
+        if edge is None:
             assert g.edge_count == 0
         else:
-            assert g.has_edge(*r.edge_witness)
+            assert g.has_edge(*edge)
 
 
 def test_omega_le_chi(rng):
@@ -129,15 +114,6 @@ def test_mycielskian_chromatic_steps():
         m = mycielskian(g)
         assert chromatic_number(m).chi == base + 1
         assert clique_number(m)[0] == 2
-
-
-def test_is_perfect_examples():
-    assert not is_perfect_bruteforce(cycle(5))
-    assert is_perfect_bruteforce(cycle(6))
-    assert not is_perfect_bruteforce(complement(cycle(7)))
-    assert is_perfect_bruteforce(complete(8))
-    with pytest.raises(ValueError):
-        is_perfect_bruteforce(empty_graph(17))
 
 
 def test_timeout_is_result_not_exception():

@@ -1,22 +1,23 @@
-import pytest
 from hypothesis import given, settings
 
 from twoomega.graphs import Graph, complete, cycle, induced, path, union
 from twoomega.patterns import (
     PATTERNS,
     class_membership,
-    count_induced,
     find_induced,
-    get_pattern,
     has_induced,
-    induced_isomorphic,
     is_class_member,
-    is_free,
     iter_induced,
-    verify_embedding,
 )
 
-from conftest import graph_strategy, petersen, rand_graph
+from conftest import (
+    count_induced,
+    graph_strategy,
+    induced_isomorphic,
+    petersen,
+    rand_graph,
+    verify_embedding,
+)
 
 CATALOG_IDS = [
     "p2", "p3", "p4", "p5", "k3", "c4", "c5", "k4", "k5", "p3up2", "2k2",
@@ -50,13 +51,6 @@ def test_catalog_orders_and_sizes():
 def test_every_pattern_selfcount_one():
     for p in PATTERNS.values():
         assert count_induced(p.graph, p) == 1, p.id
-
-
-def test_get_pattern_aliases_and_errors():
-    assert get_pattern("C3").id == "k3"
-    assert get_pattern("W4").id == "w4"
-    with pytest.raises(ValueError):
-        get_pattern("nonesuch")
 
 
 def test_find_induced_examples():
@@ -100,12 +94,6 @@ def test_class_membership_examples():
     assert not report.member
     assert report.violations[0].pattern_id == "p3up2"
     assert verify_embedding(bad, report.violations[0])
-
-
-def test_is_free():
-    g = cycle(5)
-    assert is_free(g, [PATTERNS["p3up2"], PATTERNS["w4"]])
-    assert not is_free(g, [PATTERNS["p3"]])
 
 
 def test_fast_member_agrees_with_reports(rng):

@@ -2,7 +2,7 @@ import itertools
 
 from twoomega.graphs import complete, cycle, path
 from twoomega.oracles import chromatic_number, clique_number
-from twoomega.patterns import PATTERNS, class_membership, has_induced, induced_isomorphic
+from twoomega.patterns import PATTERNS, class_membership, has_induced
 from twoomega.witnesses import (
     EXPECTED_REPORTS,
     WitnessReport,
@@ -11,6 +11,8 @@ from twoomega.witnesses import (
     schlafli_complement,
     verify_witness,
 )
+
+from conftest import induced_isomorphic
 
 
 def test_mycielskian_of_k2_is_c5():
