@@ -122,6 +122,8 @@ def sample_class(n: int, p: float, count: int, seed: int):
         raise ValueError(f"n must be non-negative, got {n}")
     if not 0 < p < 1:
         raise ValueError("edge probability must be strictly between 0 and 1")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     rng = SplitMix64(seed)
     stats = SampleStats()
     out: list[Graph] = []
@@ -292,7 +294,8 @@ def emit_records(records, fmt: str, out) -> None:
 
 
 def _read_graphs(path: str):
-    stream = sys.stdin if path == "-" else open(path, "r", encoding="ascii")
+    # undecodable bytes reach graph6_decode, which names the line
+    stream = sys.stdin if path == "-" else open(path, encoding="ascii", errors="surrogateescape")
     try:
         yield from parse_graph6_lines(stream)
     finally:
@@ -427,11 +430,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.mode == "scan":
-        cfg = RunConfig(
-            oracle=args.oracle,
-            assert_proofs=args.assert_proofs,
-            workers=int(os.environ.get("TWOOMEGA_WORKERS", "1")),
-        )
+        raw = os.environ.get("TWOOMEGA_WORKERS", "1")
+        workers = int(raw) if raw.isascii() and raw.isdigit() else 0
+        if workers < 1:
+            raise ValueError(f"TWOOMEGA_WORKERS must be a positive integer, got {raw!r}")
+        cfg = RunConfig(oracle=args.oracle, assert_proofs=args.assert_proofs, workers=workers)
         if args.n is None:
             records, summary = scan_stream(_read_graphs(args.input), cfg)
         else:

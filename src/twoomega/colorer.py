@@ -21,15 +21,17 @@ import json
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_list, bitmask, bits, induced
-from .oracles import (
-    Coloring,
-    chromatic_number,
-    clique_number,
+from .graphs import (
+    Graph,
+    bit_list,
+    bitmask,
+    bits,
+    clique_components,
     first_edge_in,
-    two_coloring,
-    validate_coloring,
+    induced,
+    least_triangle_in,
 )
+from .oracles import Coloring, chromatic_number, clique_number, two_coloring, validate_coloring
 from .patterns import PATTERNS, class_membership, find_induced, has_induced
 
 
@@ -126,42 +128,21 @@ class CheckResult:
         return self.ok
 
 
-# -- small mask helpers -------------------------------------------------------
+# -- vertex-set splits --------------------------------------------------------
+#
+# Generic questions about G[X] (an edge, a triangle, clique components) are
+# answered by the helpers in ``graphs``; the splits below are the ones the
+# proof's case analysis keeps reusing.
 
 
 def _independent(g: Graph, mask: int) -> bool:
     return first_edge_in(g, mask) is None
 
 
-def _components_in(g: Graph, mask: int) -> list[int]:
-    """Connected components of G[mask], ordered by least vertex."""
-    out = []
-    seen = 0
-    for v in bits(mask):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u] & mask
-            frontier = nxt & ~comp
-            comp |= frontier
-        out.append(comp)
-        seen |= comp
-    return out
-
-
-def _is_clique(g: Graph, mask: int) -> bool:
-    for v in bits(mask):
-        if g.adj[v] & mask != mask ^ 1 << v:
-            return False
-    return True
-
-
-def _pattern_free_in(g: Graph, mask: int, pid: str) -> bool:
-    return not has_induced(induced(g, mask), PATTERNS[pid])
+def _pattern_free_in(g: Graph, mask: int, *pids: str) -> bool:
+    """G[mask] contains none of the named patterns as an induced subgraph."""
+    sub = induced(g, mask)
+    return not any(has_induced(sub, PATTERNS[pid]) for pid in pids)
 
 
 def _max_clique_in(g: Graph, mask: int) -> tuple[int, int]:
@@ -173,12 +154,27 @@ def _max_clique_in(g: Graph, mask: int) -> tuple[int, int]:
     return size, bitmask(verts[i] for i in wit)
 
 
-def _nset(g: Graph, vs) -> int:
-    return g.neighborhood_of_set(bitmask(vs))
+def _pair_split(g: Graph, a: int, b: int) -> tuple[int, int, int]:
+    """(N(a) - b, N(b) - N[a], M({a, b})) for an anchor pair a, b."""
+    na, nb = g.adj[a], g.adj[b]
+    pair = 1 << a | 1 << b
+    return na & ~pair, nb & ~(na | pair), g.full_mask & ~(na | nb | pair)
 
 
-def _mset(g: Graph, vs) -> int:
-    return g.non_neighborhood(bitmask(vs))
+def _common_split(g: Graph, a: int, b: int) -> tuple[int, int, int]:
+    """(N(a) - N[b], N(b) - N[a], N(a) & N(b)): the exclusive and the
+    common neighbors of a pair."""
+    na, nb = g.adj[a], g.adj[b]
+    return na & ~(nb | 1 << b), nb & ~(na | 1 << a), na & nb
+
+
+def _split_by_hits(g: Graph, mask: int, s_mask: int) -> list[int]:
+    """The vertices of mask by |N(v) & S|: entry k holds those with exactly
+    k neighbors in S, for k = 0..|S|."""
+    out = [0] * (s_mask.bit_count() + 1)
+    for v in bits(mask):
+        out[(g.adj[v] & s_mask).bit_count()] |= 1 << v
+    return out
 
 
 # -- strategy execution -------------------------------------------------------
@@ -204,13 +200,14 @@ def execute_part(
         return {v: base_color for v in bits(part)}, 1 if part else 0
 
     if kind == "cliques":
+        comps = clique_components(g, part)
+        if comps is None:
+            raise StrategyPreconditionFailed(
+                "cliques-part", "component is not a clique (induced p3 present)"
+            )
         out: dict[int, int] = {}
         used = 0
-        for comp in _components_in(g, part):
-            if not _is_clique(g, comp):
-                raise StrategyPreconditionFailed(
-                    "cliques-part", "component is not a clique (induced p3 present)"
-                )
+        for comp in comps:
             size = comp.bit_count()
             if size > strategy.budget:
                 raise BudgetViolation("cliques-part", strategy.budget, size)
@@ -272,107 +269,37 @@ def execute_part(
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
-# -- branch dispatch ----------------------------------------------------------
-
-_H_ORDER = (("H1", "2k3"), ("H2", "p2uk4"), ("H3", "p2uk3"), ("H4", "four_triangle"), ("H5", "gem"))
-_J_ORDER = (("J1", "p2uk3"), ("J2", "f1"), ("J3", "f2"), ("J4", "f3"), ("J5", "f4"), ("J6", "hammer"))
-
-
-def _least_edge(g: Graph) -> tuple[int, int] | None:
-    return first_edge_in(g, g.full_mask)
-
-
-def _j7_anchor(g: Graph) -> tuple[int, ...] | None:
-    """Least k1uk3 anchor (v, t1, t2, t3), preferring a non-isolated v so
-    the branch's companion vertex v' exists."""
-    for isolated_pass in (False, True):
-        for v in range(g.n):
-            if (g.adj[v] == 0) != isolated_pass:
-                continue
-            m = g.full_mask & ~(g.adj[v] | 1 << v)
-            tri = _least_triangle_in(g, m)
-            if tri is not None:
-                return (v, *tri)
-    return None
-
-
-def _least_triangle_in(g: Graph, mask: int) -> tuple[int, int, int] | None:
-    for a in bits(mask):
-        na = g.adj[a] & mask & ~((2 << a) - 1)
-        for b in bits(na):
-            nc = na & g.adj[b] & ~((2 << b) - 1)
-            if nc:
-                return a, b, (nc & -nc).bit_length() - 1
-    return None
-
-
-def find_branch(g: Graph, omega: int | None = None) -> BranchChoice:
-    """Deterministic dispatch to the proof branch that will color g.
-
-    Assumes g is (p3up2, w4)-free; use ``color_bounded(strict=True)`` to
-    have that checked.  Every graph matches some branch.
-    """
-    if omega is None:
-        omega, _ = clique_number(g)
-    if omega <= 1:
-        return BranchChoice("B0", None, ())
-    if omega == 2:
-        return BranchChoice("OMEGA2", None, ())
-    if omega >= 5:
-        emb = find_induced(g, PATTERNS["w5"])
-        if emb is not None:
-            return BranchChoice("G1", "w5", emb.map)
-        emb = find_induced(g, PATTERNS["p2uk3"])
-        if emb is not None:
-            return BranchChoice("G2", "p2uk3", emb.map)
-        return BranchChoice("G3", None, _least_edge(g))
-    if omega == 4:
-        for bid, pid in _H_ORDER:
-            emb = find_induced(g, PATTERNS[pid])
-            if emb is not None:
-                return BranchChoice(bid, pid, emb.map)
-        return BranchChoice("H6", None, ())
-    for bid, pid in _J_ORDER:
-        emb = find_induced(g, PATTERNS[pid])
-        if emb is not None:
-            return BranchChoice(bid, pid, emb.map)
-    anchor = _j7_anchor(g)
-    if anchor is not None:
-        return BranchChoice("J7", "k1uk3", anchor)
-    return BranchChoice("J8", None, ())
-
-
 # -- branch part tables -------------------------------------------------------
 #
-# Each builder returns (parts, assertions): parts are (name, mask, strategy)
-# in coloring order; assertions are (ref, always, thunk).  The cheap checks
-# needed for soundness are always on; the fuller structural suite runs under
-# assert_proofs.
+# Each builder takes (g, omega, anchor) and returns (parts, assertions):
+# parts are (name, mask, strategy) in coloring order; assertions are
+# (ref, always, thunk).  The cheap checks needed for soundness are always
+# on; the fuller structural suite runs under assert_proofs.
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _branch_b0(g, omega, choice):
+def _branch_b0(g, omega, anchor):
     parts = []
     if g.n:
         parts.append(("all", g.full_mask, PartStrategy("independent", 1)))
-    checks = [("edgeless", True, lambda: _least_edge(g) is None)]
+    checks = [("edgeless", True, lambda: first_edge_in(g, g.full_mask) is None)]
     return parts, checks
 
 
-def _branch_omega2(g, omega, choice):
+def _branch_omega2(g, omega, anchor):
     strat = PartStrategy(
         "exact_with_budget", 4, "triangle-free class members are 4-colorable"
     )
-    checks = [("no-triangle", False, lambda: not has_induced(g, PATTERNS["k3"]))]
+    checks = [("no-triangle", False, lambda: least_triangle_in(g, g.full_mask) is None)]
     return [("all", g.full_mask, strat)], checks
 
 
-def _branch_g1(g, omega, choice):
-    hub = choice.anchor[0]
-    rim = choice.anchor[1:6]
+def _branch_g1(g, omega, anchor):
+    hub = anchor[0]
+    rim = anchor[1:6]
     n_hub = g.adj[hub]
     m_hub = g.full_mask & ~(n_hub | 1 << hub)
     classes = []
@@ -404,20 +331,15 @@ def _branch_g1(g, omega, choice):
     return parts, checks
 
 
-def _branch_g2(g, omega, choice):
-    u1, u2 = choice.anchor[0], choice.anchor[1]
-    tri = bitmask(choice.anchor[2:5])
-    n1 = g.adj[u1] & ~(1 << u2)
-    nn = g.adj[u2] & ~(g.adj[u1] | 1 << u1)
-    mm = _mset(g, (u1, u2))
-    m_closed = mm | 1 << u1 | 1 << u2
-
-    comps = _components_in(g, mm)
-    for comp in comps:
-        if not _is_clique(g, comp):
-            raise StrategyPreconditionFailed(
-                "pair-non-neighborhood-cliques", "G[M(u1,u2)] is not p3-free"
-            )
+def _branch_g2(g, omega, anchor):
+    u1, u2 = anchor[0], anchor[1]
+    tri = bitmask(anchor[2:5])
+    n1, nn, mm = _pair_split(g, u1, u2)
+    comps = clique_components(g, mm)
+    if comps is None:
+        raise StrategyPreconditionFailed(
+            "pair-non-neighborhood-cliques", "G[M(u1,u2)] is not p3-free"
+        )
     c2_mask = max(comps, key=lambda c: (c.bit_count(), -(c & -c))) if comps else 0
     c2_size = c2_mask.bit_count()
     cn_size, c1_mask = _max_clique_in(g, nn)
@@ -434,7 +356,7 @@ def _branch_g2(g, omega, choice):
             "perfect neighborhood (no c4/c5): chi = omega <= omega(G)-1")),
         ("n_u2_minus", nn, PartStrategy(
             "exact_with_budget", cn_size, "perfect subgraph: chi = omega")),
-        ("m_closed_pair", m_closed, PartStrategy("cliques", budget_m)),
+        ("m_closed_pair", mm | 1 << u1 | 1 << u2, PartStrategy("cliques", budget_m)),
     ]
     checks = [
         ("anchor-triangle-in-m", True, lambda: tri & mm == tri),
@@ -443,21 +365,17 @@ def _branch_g2(g, omega, choice):
          lambda: cn_size + c2_size <= omega + 1),
         ("sub-budgets <= omega+1", True,
          lambda: cn_size + budget_m <= omega + 1),
-        ("n_u1-c4-c5-free", False,
-         lambda: _pattern_free_in(g, g.adj[u1], "c4") and _pattern_free_in(g, g.adj[u1], "c5")),
-        ("n_u2-c4-c5-free", False,
-         lambda: _pattern_free_in(g, g.adj[u2], "c4") and _pattern_free_in(g, g.adj[u2], "c5")),
+        ("n_u1-c4-c5-free", False, lambda: _pattern_free_in(g, g.adj[u1], "c4", "c5")),
+        ("n_u2-c4-c5-free", False, lambda: _pattern_free_in(g, g.adj[u2], "c4", "c5")),
     ]
     return parts, checks
 
 
-def _branch_g3(g, omega, choice):
-    u1, u2 = choice.anchor
-    n1 = g.adj[u1]
-    n2 = g.adj[u2] & ~(g.adj[u1] | 1 << u1)
-    mm = _mset(g, (u1, u2))
+def _branch_g3(g, omega, anchor):
+    u1, u2 = anchor
+    _, n2, mm = _pair_split(g, u1, u2)
     parts = [
-        ("n_u1", n1, PartStrategy(
+        ("n_u1", g.adj[u1], PartStrategy(
             "exact_with_budget", omega - 1,
             "perfect neighborhood (no c4/c5): chi = omega <= omega(G)-1")),
         ("n_u2_minus", n2, PartStrategy(
@@ -467,40 +385,33 @@ def _branch_g3(g, omega, choice):
     ]
     checks = [
         ("pair-non-neighborhood-p3-k3-free", True,
-         lambda: _pattern_free_in(g, mm, "p3") and _pattern_free_in(g, mm, "k3")),
-        ("n_u1-c4-c5-free", False,
-         lambda: _pattern_free_in(g, n1, "c4") and _pattern_free_in(g, n1, "c5")),
-        ("n_u2-c4-c5-free", False,
-         lambda: _pattern_free_in(g, g.adj[u2], "c4") and _pattern_free_in(g, g.adj[u2], "c5")),
+         lambda: clique_components(g, mm) is not None and least_triangle_in(g, mm) is None),
+        ("n_u1-c4-c5-free", False, lambda: _pattern_free_in(g, g.adj[u1], "c4", "c5")),
+        ("n_u2-c4-c5-free", False, lambda: _pattern_free_in(g, g.adj[u2], "c4", "c5")),
     ]
     return parts, checks
 
 
-def _branch_h1(g, omega, choice):
-    s = choice.anchor[0:3]
+def _branch_h1(g, omega, anchor):
+    s = anchor[0:3]
     s_mask = bitmask(s)
     ns = g.neighborhood_of_set(s_mask)
     mm = g.non_neighborhood(s_mask)
     common = g.adj[s[0]] & g.adj[s[1]] & g.adj[s[2]] & ~s_mask
     n = ns & ~common
 
-    comps = _components_in(g, mm)
-    for comp in comps:
-        if not _is_clique(g, comp):
-            raise StrategyPreconditionFailed(
-                "triangle-non-neighborhood-cliques", "G[M(S)] is not p3-free"
-            )
+    comps = clique_components(g, mm)
+    if comps is None:
+        raise StrategyPreconditionFailed(
+            "triangle-non-neighborhood-cliques", "G[M(S)] is not p3-free"
+        )
     cmask = max(comps, key=lambda c: (c.bit_count(), -(c & -c)))
     if not 3 <= cmask.bit_count() <= 4:
         raise StrategyPreconditionFailed(
             "m-max-clique-size", f"|C| = {cmask.bit_count()}, expected 3 or 4"
         )
-    u123 = bit_list(cmask)[:3]
-    umask = bitmask(u123)
-    n2 = 0
-    for v in bits(n):
-        if g.adj[v] & umask == umask:
-            n2 |= 1 << v
+    tips = _split_by_hits(g, n, bitmask(bit_list(cmask)[:3]))
+    n2 = tips[3]
     n1 = n & ~n2
 
     parts = [
@@ -511,29 +422,23 @@ def _branch_h1(g, omega, choice):
         ("s_complete", common, PartStrategy("independent", 1)),
     ]
     checks = [
-        ("n-vertices-have-2-tips", True,
-         lambda: all((g.adj[v] & umask).bit_count() >= 2 for v in bits(n))),
+        ("n-vertices-have-2-tips", True, lambda: tips[0] | tips[1] == 0),
         ("s-complete-independent", True, lambda: _independent(g, common)),
         ("n1-k3-c4-free", False,
-         lambda: _pattern_free_in(g, n1, "k3") and _pattern_free_in(g, n1, "c4")),
+         lambda: least_triangle_in(g, n1) is None and _pattern_free_in(g, n1, "c4")),
     ]
     return parts, checks
 
 
-def _branch_h2(g, omega, choice):
-    v1, v2 = choice.anchor[0], choice.anchor[1]
-    umask = bitmask(choice.anchor[2:6])
-    n1 = g.adj[v1] & ~(g.adj[v2] | 1 << v2)
-    n2 = g.adj[v2] & ~(g.adj[v1] | 1 << v1)
-    n3 = g.adj[v1] & g.adj[v2]
-    n4 = 0
-    for v in bits(n3):
-        if (g.adj[v] & umask).bit_count() == 3:
-            n4 |= 1 << v
-    mm = _mset(g, (v1, v2))
+def _branch_h2(g, omega, anchor):
+    v1, v2 = anchor[0], anchor[1]
+    n1, n2, n3 = _common_split(g, v1, v2)
+    n4 = _split_by_hits(g, n3, bitmask(anchor[2:6]))[3]
+    rest = n3 & ~n4
+    mm = g.non_neighborhood(1 << v1 | 1 << v2)
     parts = [
         ("n1_n2_n4", n1 | n2 | n4, PartStrategy("independent", 1)),
-        ("n3_minus_n4", n3 & ~n4, PartStrategy(
+        ("n3_minus_n4", rest, PartStrategy(
             "exact_with_budget", 3, "c4-free with omega <= 2: chi <= 3")),
         ("m_closed_pair", mm | 1 << v1 | 1 << v2, PartStrategy("cliques", 4)),
     ]
@@ -541,71 +446,47 @@ def _branch_h2(g, omega, choice):
         ("eq2:N1|N2|N4 independent", True,
          lambda: _independent(g, n1 | n2 | n4)),
         ("n3-minus-n4-c4-free-omega2", False,
-         lambda: _pattern_free_in(g, n3 & ~n4, "c4")
-         and _max_clique_in(g, n3 & ~n4)[0] <= 2),
-        ("m-p3-free", False, lambda: _pattern_free_in(g, mm, "p3")),
+         lambda: _pattern_free_in(g, rest, "c4") and least_triangle_in(g, rest) is None),
+        ("m-p3-free", False, lambda: clique_components(g, mm) is not None),
     ]
     return parts, checks
 
 
-def _branch_h3(g, omega, choice):
-    v1, v2 = choice.anchor[0], choice.anchor[1]
-    umask = bitmask(choice.anchor[2:5])
-    ns = _nset(g, (v1, v2))
-    byu = {1: 0, 2: 0, 3: 0}
-    uncovered = 0
-    for v in bits(ns):
-        cnt = (g.adj[v] & umask).bit_count()
-        if cnt == 0:
-            uncovered |= 1 << v
-        else:
-            byu[cnt] |= 1 << v
-    mm = _mset(g, (v1, v2))
+def _branch_h3(g, omega, anchor):
+    v1, v2 = anchor[0], anchor[1]
+    pair = 1 << v1 | 1 << v2
+    byu = _split_by_hits(g, g.neighborhood_of_set(pair), bitmask(anchor[2:5]))
+    mm = g.non_neighborhood(pair)
     parts = [
-        ("n1u_plus_m_closed", byu[1] | mm | 1 << v1 | 1 << v2, PartStrategy(
+        ("n1u_plus_m_closed", byu[1] | mm | pair, PartStrategy(
             "exact_with_budget", 4, "two bipartite pieces: chi <= 4")),
         ("n2u", byu[2], PartStrategy(
             "exact_with_budget", 3, "(k3,c4)-free: chi <= 3")),
         ("n3u", byu[3], PartStrategy("independent", 1)),
     ]
     checks = [
-        ("pair-neighbors-hit-triangle", True, lambda: uncovered == 0),
+        ("pair-neighbors-hit-triangle", True, lambda: byu[0] == 0),
         ("n3u-independent", True, lambda: _independent(g, byu[3])),
         ("n1u-small-and-common", False,
          lambda: byu[1].bit_count() <= 3
          and byu[1] & ~(g.adj[v1] & g.adj[v2]) == 0),
         ("n2u-k3-c4-free", False,
-         lambda: _pattern_free_in(g, byu[2], "k3") and _pattern_free_in(g, byu[2], "c4")),
+         lambda: least_triangle_in(g, byu[2]) is None and _pattern_free_in(g, byu[2], "c4")),
     ]
     return parts, checks
 
 
-def _branch_h4(g, omega, choice):
-    s = choice.anchor[0:3]
+def _branch_h4(g, omega, anchor):
+    s = anchor[0:3]
     s_mask = bitmask(s)
-    low = n2 = n3 = 0
-    for v in range(g.n):
-        if s_mask >> v & 1:
-            continue
-        cnt = (g.adj[v] & s_mask).bit_count()
-        if cnt <= 1:
-            low |= 1 << v
-        elif cnt == 2:
-            n2 |= 1 << v
-        else:
-            n3 |= 1 << v
+    n0, n1, n2, n3 = _split_by_hits(g, g.full_mask & ~s_mask, s_mask)
+    low = n0 | n1
 
     def a_sets_small() -> bool:
-        for i in range(3):
-            keep = 1 << s[i]
-            a_i = 0
-            for v in bits(low):
-                if g.adj[v] & s_mask & ~keep == 0:
-                    a_i |= 1 << v
-            comps = _components_in(g, a_i)
-            if any(c.bit_count() > 2 for c in comps):
-                return False
-            if not all(_is_clique(g, c) for c in comps):
+        # A_i: low vertices with no neighbor in S - s_i
+        for t in s:
+            comps = clique_components(g, low & g.non_neighborhood(s_mask ^ 1 << t))
+            if comps is None or any(c.bit_count() > 2 for c in comps):
                 return False
         return True
 
@@ -623,9 +504,9 @@ def _branch_h4(g, omega, choice):
     return parts, checks
 
 
-def _branch_h5(g, omega, choice):
-    v = choice.anchor[0]
-    u2, u3 = choice.anchor[2], choice.anchor[3]
+def _branch_h5(g, omega, anchor):
+    v = anchor[0]
+    u2, u3 = anchor[2], anchor[3]
     nv = g.adj[v]
     mv = g.full_mask & ~(nv | 1 << v)
     m_no_u2 = (mv & ~g.adj[u2]) | 1 << v
@@ -647,7 +528,7 @@ def _branch_h5(g, omega, choice):
     return parts, checks
 
 
-def _branch_h6(g, omega, choice):
+def _branch_h6(g, omega, anchor):
     strat = PartStrategy(
         "exact_with_budget", 8, "gem-free members: chi <= 2*omega"
     )
@@ -655,12 +536,10 @@ def _branch_h6(g, omega, choice):
     return [("all", g.full_mask, strat)], checks
 
 
-def _branch_j1(g, omega, choice):
-    v1, v2 = choice.anchor[0], choice.anchor[1]
-    n1 = g.adj[v1] & ~(g.adj[v2] | 1 << v2)
-    n2 = g.adj[v2] & ~(g.adj[v1] | 1 << v1)
-    n3 = g.adj[v1] & g.adj[v2]
-    mm = _mset(g, (v1, v2))
+def _branch_j1(g, omega, anchor):
+    v1, v2 = anchor[0], anchor[1]
+    n1, n2, n3 = _common_split(g, v1, v2)
+    mm = g.non_neighborhood(1 << v1 | 1 << v2)
     parts = [
         ("n1", n1, PartStrategy("independent", 1)),
         ("n2", n2, PartStrategy("independent", 1)),
@@ -671,34 +550,19 @@ def _branch_j1(g, omega, choice):
         ("n1-independent", True, lambda: _independent(g, n1)),
         ("n2-independent", True, lambda: _independent(g, n2)),
         ("n3-independent", True, lambda: _independent(g, n3)),
-        ("m-p3-free", False, lambda: _pattern_free_in(g, mm, "p3")),
+        ("m-p3-free", False, lambda: clique_components(g, mm) is not None),
     ]
     return parts, checks
 
 
-def _branch_j_triangle(g, omega, choice):
+def _branch_j_triangle(g, omega, anchor):
     # Shared by the three 6-vertex triggers built around a triangle S:
     # singles attach to one s-vertex and join that class, doubles are
     # independent, non-neighbors of S are independent.
-    s = choice.anchor[0:3]
+    s = anchor[0:3]
     s_mask = bitmask(s)
-    a = [0, 0, 0]
-    n2 = 0
-    n0 = 0
-    over = 0
-    for v in range(g.n):
-        if s_mask >> v & 1:
-            continue
-        row = g.adj[v] & s_mask
-        cnt = row.bit_count()
-        if cnt == 0:
-            n0 |= 1 << v
-        elif cnt == 1:
-            a[s.index(row.bit_length() - 1)] |= 1 << v
-        elif cnt == 2:
-            n2 |= 1 << v
-        else:
-            over |= 1 << v
+    n0, singles, n2, over = _split_by_hits(g, g.full_mask & ~s_mask, s_mask)
+    a = [singles & g.adj[t] for t in s]
     parts = [
         ("a1_plus_v2", a[0] | 1 << s[1], PartStrategy("independent", 1)),
         ("a2_plus_v3", a[1] | 1 << s[2], PartStrategy("independent", 1)),
@@ -717,14 +581,11 @@ def _branch_j_triangle(g, omega, choice):
     return parts, checks
 
 
-def _branch_j3(g, omega, choice):
-    v1, v2 = choice.anchor[0], choice.anchor[1]
-    u1, u2b, u3, u4 = choice.anchor[2], choice.anchor[3], choice.anchor[4], choice.anchor[5]
-    nv1 = g.adj[v1] & ~(1 << v2)
-    nv2 = g.adj[v2] & ~(g.adj[v1] | 1 << v1)
-    mm = _mset(g, (v1, v2))
+def _branch_j3(g, omega, anchor):
+    v1, v2, u1, u2, u3, u4 = anchor
+    nv1, nv2, mm = _pair_split(g, v1, v2)
     tri1 = bitmask((u1, u3, u4))  # triangle inside M(v1)
-    tri2 = bitmask((u1, u2b, u4))  # triangle inside M(v2)
+    tri2 = bitmask((u1, u2, u4))  # triangle inside M(v2)
     parts = [
         ("n_v1", nv1, PartStrategy("bipartite", 2)),
         ("n_v2_minus", nv2, PartStrategy("bipartite", 2)),
@@ -743,11 +604,9 @@ def _branch_j3(g, omega, choice):
     return parts, checks
 
 
-def _branch_j6(g, omega, choice):
-    mid, end = choice.anchor[3], choice.anchor[4]
-    n_mid = g.adj[mid] & ~(1 << end)
-    n_end_only = g.adj[end] & ~(g.adj[mid] | 1 << mid)
-    mm = _mset(g, (mid, end))
+def _branch_j6(g, omega, anchor):
+    mid, end = anchor[3], anchor[4]
+    n_mid, n_end_only, mm = _pair_split(g, mid, end)
     parts = [
         ("n_mid", n_mid, PartStrategy(
             "exact_with_budget", 3, "c4-free with omega <= 2: chi <= 3")),
@@ -758,18 +617,17 @@ def _branch_j6(g, omega, choice):
         ("pendant-side-independent", True, lambda: _independent(g, n_end_only)),
         ("n_mid-c4-free-omega2", False,
          lambda: _pattern_free_in(g, g.adj[mid], "c4")
-         and _max_clique_in(g, g.adj[mid])[0] <= 2),
+         and least_triangle_in(g, g.adj[mid]) is None),
     ]
     return parts, checks
 
 
-def _branch_j7(g, omega, choice):
-    v = choice.anchor[0]
+def _branch_j7(g, omega, anchor):
+    v = anchor[0]
     if g.adj[v] == 0:
         # Every k1uk3 anchor is isolated: split isolated vertices off; the
         # rest is k1uk3-free and contains a triangle, hence 6-colorable.
-        iso = bitmask(u for u in range(g.n) if g.adj[u] == 0)
-        rest = g.full_mask & ~iso
+        rest = bitmask(u for u in range(g.n) if g.adj[u])
         strat = PartStrategy(
             "exact_with_budget", 6,
             "isolated split: k1uk3-free remainder with a triangle")
@@ -778,10 +636,9 @@ def _branch_j7(g, omega, choice):
              lambda: _pattern_free_in(g, rest, "k1uk3")),
         ]
         return [("all", g.full_mask, strat)], checks
-    vp = (g.adj[v] & -g.adj[v]).bit_length() - 1
     nv = g.adj[v]
-    nvp = g.adj[vp] & ~(g.adj[v] | 1 << v)
-    mm = _mset(g, (v, vp))
+    vp = (nv & -nv).bit_length() - 1
+    _, nvp, mm = _pair_split(g, v, vp)
     parts = [
         ("n_v", nv, PartStrategy("independent", 1)),
         ("n_vp_minus", nvp, PartStrategy(
@@ -792,43 +649,105 @@ def _branch_j7(g, omega, choice):
         ("n_v-independent", True, lambda: _independent(g, nv)),
         ("n_vp-c4-free-omega2", False,
          lambda: _pattern_free_in(g, g.adj[vp], "c4")
-         and _max_clique_in(g, g.adj[vp])[0] <= 2),
+         and least_triangle_in(g, g.adj[vp]) is None),
     ]
     return parts, checks
 
 
-def _branch_j8(g, omega, choice):
+def _branch_j8(g, omega, anchor):
     strat = PartStrategy(
         "exact_with_budget", 6, "k1uk3-free with a triangle: chi <= 2*omega"
     )
     checks = [
         ("k1uk3-free", False, lambda: not has_induced(g, PATTERNS["k1uk3"])),
-        ("has-triangle", True, lambda: has_induced(g, PATTERNS["k3"])),
+        ("has-triangle", True, lambda: least_triangle_in(g, g.full_mask) is not None),
     ]
     return [("all", g.full_mask, strat)], checks
 
 
-_BUILDERS = {
-    "B0": _branch_b0,
-    "OMEGA2": _branch_omega2,
-    "G1": _branch_g1,
-    "G2": _branch_g2,
-    "G3": _branch_g3,
-    "H1": _branch_h1,
-    "H2": _branch_h2,
-    "H3": _branch_h3,
-    "H4": _branch_h4,
-    "H5": _branch_h5,
-    "H6": _branch_h6,
-    "J1": _branch_j1,
-    "J2": _branch_j_triangle,
-    "J3": _branch_j3,
-    "J4": _branch_j_triangle,
-    "J5": _branch_j_triangle,
-    "J6": _branch_j6,
-    "J7": _branch_j7,
-    "J8": _branch_j8,
-}
+# -- branch dispatch ----------------------------------------------------------
+#
+# One band of rows per clique number (<= 1, 2, 3, 4, >= 5), each row being
+# (branch id, trigger pattern, anchor probe, builder).  The first row of
+# the band whose probe returns an anchor fires; the last row of every band
+# always fires.
+
+
+def _always(g: Graph) -> tuple[int, ...]:
+    return ()
+
+
+def _on_pattern(branch_id: str, pid: str, build):
+    """A row that fires on the least induced copy of a catalog pattern."""
+    pattern = PATTERNS[pid]
+
+    def probe(g: Graph) -> tuple[int, ...] | None:
+        emb = find_induced(g, pattern)
+        return None if emb is None else emb.map
+
+    return branch_id, pid, probe, build
+
+
+def _j7_anchor(g: Graph) -> tuple[int, ...] | None:
+    """Least k1uk3 anchor (v, t1, t2, t3), preferring a non-isolated v so
+    the branch's companion vertex v' exists."""
+    for isolated_pass in (False, True):
+        for v in range(g.n):
+            if (g.adj[v] == 0) != isolated_pass:
+                continue
+            tri = least_triangle_in(g, g.full_mask & ~(g.adj[v] | 1 << v))
+            if tri is not None:
+                return (v, *tri)
+    return None
+
+
+_BANDS = (
+    (("B0", None, _always, _branch_b0),),  # omega <= 1
+    (("OMEGA2", None, _always, _branch_omega2),),  # omega == 2
+    (  # omega == 3
+        _on_pattern("J1", "p2uk3", _branch_j1),
+        _on_pattern("J2", "f1", _branch_j_triangle),
+        _on_pattern("J3", "f2", _branch_j3),
+        _on_pattern("J4", "f3", _branch_j_triangle),
+        _on_pattern("J5", "f4", _branch_j_triangle),
+        _on_pattern("J6", "hammer", _branch_j6),
+        ("J7", "k1uk3", _j7_anchor, _branch_j7),
+        ("J8", None, _always, _branch_j8),
+    ),
+    (  # omega == 4
+        _on_pattern("H1", "2k3", _branch_h1),
+        _on_pattern("H2", "p2uk4", _branch_h2),
+        _on_pattern("H3", "p2uk3", _branch_h3),
+        _on_pattern("H4", "four_triangle", _branch_h4),
+        _on_pattern("H5", "gem", _branch_h5),
+        ("H6", None, _always, _branch_h6),
+    ),
+    (  # omega >= 5
+        _on_pattern("G1", "w5", _branch_g1),
+        _on_pattern("G2", "p2uk3", _branch_g2),
+        ("G3", None, lambda g: first_edge_in(g, g.full_mask), _branch_g3),
+    ),
+)
+
+
+def _fire(g: Graph, omega: int):
+    """The choice made by omega's band, with the builder of its row."""
+    for branch_id, pid, probe, build in _BANDS[min(max(omega, 1), 5) - 1]:
+        anchor = probe(g)
+        if anchor is not None:
+            return BranchChoice(branch_id, pid, anchor), build
+    raise ValueError(f"no branch fired: omega={omega} is not the clique number")
+
+
+def find_branch(g: Graph, omega: int | None = None) -> BranchChoice:
+    """Deterministic dispatch to the proof branch that will color g.
+
+    Assumes g is (p3up2, w4)-free; use ``color_bounded(strict=True)`` to
+    have that checked.  Every graph matches some branch.
+    """
+    if omega is None:
+        omega, _ = clique_number(g)
+    return _fire(g, omega)[0]
 
 
 # -- the main entry points ----------------------------------------------------
@@ -856,8 +775,8 @@ def color_bounded(
         class_checked = True
 
     omega, _ = clique_number(g)
-    choice = find_branch(g, omega)
-    part_plan, checks = _BUILDERS[choice.branch_id](g, omega, choice)
+    choice, build = _fire(g, omega)
+    part_plan, checks = build(g, omega, choice.anchor)
 
     seen = 0
     for name, mask, _ in part_plan:
@@ -904,8 +823,9 @@ def color_bounded(
 
 def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
     """Independent verifier: re-validates properness, the part partition,
-    per-part budgets and the total against a freshly computed omega.  Shares
-    no code path with color_bounded's strategy executors."""
+    per-part budgets, disjoint per-part color ranges and the total against
+    a freshly computed omega.  Shares no code path with color_bounded's
+    strategy executors."""
     colors = cert.coloring.colors
     if len(colors) != g.n:
         return CheckResult(False, "coloring length mismatch")
@@ -917,6 +837,7 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
             if colors[u] == colors[v]:
                 return CheckResult(False, f"edge ({u}, {v}) monochromatic")
     seen = 0
+    palette = 0  # colors used by the parts checked so far, as a mask
     for part in cert.trace.parts:
         if part.vertices & seen:
             return CheckResult(False, f"part {part.name} overlaps another part")
@@ -926,6 +847,10 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
             return CheckResult(
                 False, f"part {part.name} uses {len(used)} colors over budget"
             )
+        used_mask = bitmask(used)
+        if used_mask & palette:
+            return CheckResult(False, f"part {part.name} reuses a color of an earlier part")
+        palette |= used_mask
     if seen != g.full_mask:
         return CheckResult(False, "parts do not partition V(G)")
     omega, _ = clique_number(g)

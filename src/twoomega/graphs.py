@@ -208,6 +208,48 @@ def induced(g: Graph, vertices) -> Graph:
     return _graph_nocheck(len(keep), tuple(rows))
 
 
+# -- vertex-set helpers ----------------------------------------------------
+#
+# Questions about G[X] answered on the bitmask X directly, without building
+# the induced copy.
+
+
+def first_edge_in(g: Graph, mask: int) -> tuple[int, int] | None:
+    """Least edge (u, v), u < v, of G[mask]; None when mask is independent."""
+    for v in bits(mask):
+        rest = g.adj[v] & mask & ~((2 << v) - 1)
+        if rest:
+            return v, (rest & -rest).bit_length() - 1
+    return None
+
+
+def least_triangle_in(g: Graph, mask: int) -> tuple[int, int, int] | None:
+    """Lexicographically least triangle (a, b, c), a < b < c, of G[mask]."""
+    for a in bits(mask):
+        na = g.adj[a] & mask & ~((2 << a) - 1)
+        for b in bits(na):
+            nc = na & g.adj[b] & ~((2 << b) - 1)
+            if nc:
+                return a, b, (nc & -nc).bit_length() - 1
+    return None
+
+
+def clique_components(g: Graph, mask: int) -> list[int] | None:
+    """Components of G[mask] ordered by least vertex, when every one is a
+    clique (G[mask] has no induced p3); otherwise None."""
+    out = []
+    rest = mask
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        comp = g.adj[v] & mask | 1 << v
+        for u in bits(comp):
+            if g.adj[u] & mask | 1 << u != comp:
+                return None
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
 # -- graph6 codec ---------------------------------------------------------
 #
 # Standard format: size prefix (one char for n <= 62, or '~' plus three

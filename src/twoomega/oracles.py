@@ -1,5 +1,5 @@
 """Exact ground-truth computations: clique number, chromatic number,
-coloring validation, and the 2-coloring and edge witnesses the colorer's
+coloring validation, and the 2-coloring witness the colorer's bipartite
 parts rely on.
 
 The clique solver is branch-and-bound with a greedy-coloring upper bound
@@ -229,7 +229,7 @@ def chromatic_number(g: Graph, time_budget: float | None = None) -> ChromaticRes
     return ChromaticResult(upper, upper, upper, best, False)
 
 
-# -- bipartite and independence witnesses ------------------------------------
+# -- bipartite witness -------------------------------------------------------
 
 
 def two_coloring(g: Graph) -> tuple[Coloring | None, tuple[int, ...] | None]:
@@ -272,11 +272,3 @@ def _root_path(parent, v) -> list[int]:
         out.append(parent[out[-1]])
     out.reverse()
     return out
-
-
-def first_edge_in(g: Graph, mask: int) -> tuple[int, int] | None:
-    for v in bits(mask):
-        rest = g.adj[v] & mask & ~((2 << v) - 1)
-        if rest:
-            return v, (rest & -rest).bit_length() - 1
-    return None

@@ -188,6 +188,26 @@ def test_scan_parse_error_names_line(tmp_path, capsys, monkeypatch):
     assert "parse error: line 3:" in err
 
 
+@pytest.mark.parametrize("argv", [["scan", "--input"], ["color"]])
+def test_non_ascii_file_names_line(tmp_path, capsys, monkeypatch, argv):
+    # line 1 is processed; the undecodable byte on line 2 is a parse error
+    p = tmp_path / "graphs.g6"
+    p.write_bytes(b"Dhc\n\xff\n")
+    code, out, err = run_cli(capsys, *argv, str(p), monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("parse error: line 2:")
+    assert len(out.strip().split("\n")) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_workers_env_must_be_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("TWOOMEGA_WORKERS", value)
+    code, out, err = run_cli(capsys, "scan", "--n", "3", monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: TWOOMEGA_WORKERS must be a positive integer, got {value!r}\n"
+
+
 @pytest.mark.parametrize("extra", [["--format", "json"], ["--format", "csv"], ["--summary-only"]])
 def test_scan_stops_at_first_violation(capsys, monkeypatch, extra):
     import twoomega.cli as cli
@@ -260,10 +280,16 @@ def test_sample_p_validation(capsys, monkeypatch):
         sample_class(5, 1.0, 1, 1)
     with pytest.raises(ValueError):
         sample_class(-1, 0.5, 1, 1)
-    code, out, err = run_cli(capsys, "sample", "--n", "-1", "--p", "0.5", "--count", "1",
-                             monkeypatch=monkeypatch)
-    assert code == 2
-    assert "n must be non-negative" in err
+    with pytest.raises(ValueError):
+        sample_class(5, 0.5, -3, 1)
+    for argv, message in (
+        (["--n", "-1", "--count", "1"], "n must be non-negative"),
+        (["--n", "5", "--count", "-3"], "count must be non-negative, got -3"),
+    ):
+        code, out, err = run_cli(capsys, "sample", "--p", "0.5", *argv,
+                                 monkeypatch=monkeypatch)
+        assert code == 2
+        assert message in err
 
 
 def test_csv_and_json_agree_fieldwise():

@@ -13,6 +13,7 @@ from twoomega.colorer import (
 )
 from twoomega.graphs import (
     Graph,
+    bit_list,
     bitmask,
     complete,
     cycle,
@@ -199,6 +200,24 @@ def test_check_certificate_rejects_wrong_omega():
     assert not check_certificate(g, replace(cert, omega=3, budget=6))
 
 
+def test_check_certificate_rejects_shared_part_colors():
+    from dataclasses import replace
+    from twoomega.oracles import Coloring
+
+    g = union(complete(3), complete(3))
+    cert = color_bounded(g)
+    assert [(p.name, bit_list(p.vertices)) for p in cert.trace.parts if p.vertices] == [
+        ("n3", [2]), ("m_closed_pair", [0, 1, 3, 4, 5])
+    ]
+    colors = list(cert.coloring.colors)
+    colors[2] = colors[5]  # n3 borrows a color of the other triangle: still proper
+    tampered = replace(cert, coloring=Coloring(tuple(colors)))
+    assert validate_coloring(g, tampered.coloring)[0]
+    res = check_certificate(g, tampered)
+    assert not res
+    assert res.failure == "part m_closed_pair reuses a color of an earlier part"
+
+
 # -- execute_part -------------------------------------------------------------
 
 
@@ -279,13 +298,12 @@ def test_exhaustive_small_scan_members_colored():
             assert chromatic_number(g).chi <= 2 * cert.omega
 
 
-def test_structured_members_stress():
-    # unions/joins of cliques, 5-cycles and small members reach the
-    # high-omega branches that small exhaustive scans cannot
+def structured_members():
+    """Unions/joins of cliques, 5-cycles and small members, seeded; yields
+    the class members.  They reach the high-omega branches that small
+    exhaustive scans cannot."""
     import random
-    from collections import Counter
 
-    from twoomega.graphs import empty_graph as eg
     from twoomega.patterns import is_class_member
 
     rng = random.Random(777)
@@ -297,14 +315,13 @@ def test_structured_members_stress():
         if r < 0.7:
             return cycle(5)
         if r < 0.8:
-            return eg(rng.randrange(1, 4))
+            return empty_graph(rng.randrange(1, 4))
         while True:
             n = rng.randrange(1, 7)
             g = rand_graph(rng, n, 0.5)
             if is_class_member(g):
                 return g
 
-    hist = Counter()
     for _ in range(1200):
         g = atom()
         for _ in range(rng.randrange(0, 3)):
@@ -312,14 +329,51 @@ def test_structured_members_stress():
             g = join(g, h) if rng.random() < 0.6 else union(g, h)
             if g.n > 24:
                 break
-        if not is_class_member(g):
-            continue
+        if is_class_member(g):
+            yield g
+
+
+def test_structured_members_stress():
+    from collections import Counter
+
+    hist = Counter()
+    for g in structured_members():
         cert = color_bounded(g, assert_proofs=True)
         assert check_certificate(g, cert)
         assert cert.coloring.palette_size <= 2 * cert.omega
         hist[cert.trace.branch_id] += 1
     # the omega >= 5 branches must all have fired
     assert hist["G1"] > 0 and hist["G2"] > 0 and hist["G3"] > 0
+
+
+# sha256 over the certificate_to_json lines of golden_corpus(), with
+# assert_proofs off and on: certificates (parts, anchors, assertions) are
+# byte-identical across refactors of the colorer
+GOLDEN_CERT_DIGESTS = {
+    False: "8c2b26c4685dc9ec9d294217161c41b93e8e02b3fb39f2fb7f4aec4bf0e1b738",
+    True: "a8c5bdc16e38ad15c179bbdc9d1528c10e796c00f5b3a5b1a1225a19d9e48db6",
+}
+
+
+def golden_corpus():
+    yield from (make() for _, make, _ in BRANCH_SUITE)
+    for n in range(6):
+        yield from (g for g in all_graphs(n) if class_membership(g).member)
+    yield from structured_members()
+
+
+@pytest.mark.parametrize("assert_proofs", [False, True])
+def test_golden_certificates(assert_proofs):
+    import hashlib
+
+    h = hashlib.sha256()
+    branches = set()
+    for g in golden_corpus():
+        cert = color_bounded(g, assert_proofs=assert_proofs)
+        branches.add(cert.trace.branch_id)
+        h.update(certificate_to_json(cert).encode() + b"\n")
+    assert len(branches) == 19
+    assert h.hexdigest() == GOLDEN_CERT_DIGESTS[assert_proofs]
 
 
 def test_timeout_propagates_from_exact_parts():

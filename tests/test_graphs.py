@@ -6,19 +6,23 @@ from twoomega.graphs import (
     GraphParseError,
     bitmask,
     bit_list,
+    bits,
+    clique_components,
     complement,
     complete,
     cycle,
     empty_graph,
+    first_edge_in,
     graph6_decode,
     graph6_encode,
     induced,
     join,
+    least_triangle_in,
     parse_graph6_lines,
     path,
     union,
 )
-from twoomega.patterns import PATTERNS
+from twoomega.patterns import PATTERNS, find_induced
 
 from conftest import graph_strategy, induced_isomorphic, rand_graph
 
@@ -106,6 +110,33 @@ def test_induced_preserves_relative_order():
     assert h.n == 3
     assert h.has_edge(1, 2)  # 3-4 survives
     assert not h.has_edge(0, 1)
+
+
+@given(graph_strategy(max_n=8))
+@settings(max_examples=80, deadline=None)
+def test_vertex_set_helpers_match_pattern_search(g):
+    # the bitmask answers agree with the pattern search on the induced copy,
+    # and the witnesses they return lie in the mask and are least
+    import random
+
+    rng = random.Random(hash(g.adj))
+    for _ in range(4):
+        mask = bitmask(v for v in range(g.n) if rng.random() < 0.7)
+        verts = bit_list(mask)
+        sub = induced(g, mask)
+        for pid, found in (("p2", first_edge_in(g, mask)), ("k3", least_triangle_in(g, mask))):
+            emb = find_induced(sub, PATTERNS[pid])
+            assert found == (None if emb is None else tuple(verts[i] for i in emb.map))
+        comps = clique_components(g, mask)
+        assert (comps is None) == (find_induced(sub, PATTERNS["p3"]) is not None)
+        if comps is not None:
+            assert [c & -c for c in comps] == sorted(c & -c for c in comps)
+            seen = 0
+            for c in comps:
+                assert c & seen == 0
+                assert all(g.adj[v] & mask | 1 << v == c for v in bits(c))
+                seen |= c
+            assert seen == mask
 
 
 def test_graph_validation():

@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, settings
 
-from twoomega.graphs import complete, cycle, induced
+from twoomega.graphs import complete, cycle, first_edge_in, induced
 from twoomega.oracles import (
     Coloring,
     chromatic_number,
     clique_number,
-    first_edge_in,
     greedy_coloring,
     two_coloring,
     validate_coloring,
