@@ -392,10 +392,12 @@ def _dispatch(args) -> int:
             except ColorerError as exc:
                 print(f"coloring failed: {exc}", file=sys.stderr)
                 return 1
-            out.write(certificate_to_json(cert) + "\n")
-            if not check_certificate(g, cert):
-                print("certificate failed independent check", file=sys.stderr)
+            check = check_certificate(g, cert)
+            if not check:
+                print(f"certificate failed independent check: {check.failure}",
+                      file=sys.stderr)
                 return 1
+            out.write(certificate_to_json(cert) + "\n")
         return 0
 
     if args.mode == "oracle":

@@ -32,7 +32,7 @@ from .graphs import (
     least_triangle_in,
 )
 from .oracles import Coloring, chromatic_number, clique_number, two_coloring, validate_coloring
-from .patterns import PATTERNS, class_membership, find_induced, has_induced
+from .patterns import PATTERNS, class_membership, find_induced, has_induced, host_facts
 
 
 class ColorerError(Exception):
@@ -142,7 +142,8 @@ def _independent(g: Graph, mask: int) -> bool:
 def _pattern_free_in(g: Graph, mask: int, *pids: str) -> bool:
     """G[mask] contains none of the named patterns as an induced subgraph."""
     sub = induced(g, mask)
-    return not any(has_induced(sub, PATTERNS[pid]) for pid in pids)
+    facts = host_facts(sub)
+    return not any(has_induced(sub, PATTERNS[pid], facts) for pid in pids)
 
 
 def _max_clique_in(g: Graph, mask: int) -> tuple[int, int]:
@@ -670,22 +671,14 @@ def _branch_j8(g, omega, anchor):
 # One band of rows per clique number (<= 1, 2, 3, 4, >= 5), each row being
 # (branch id, trigger pattern, anchor probe, builder).  The first row of
 # the band whose probe returns an anchor fires; the last row of every band
-# always fires.
+# always fires.  A row without a probe fires on the least induced copy of
+# its trigger pattern; most such rows do not fire, so the presence search
+# rules them out first and the lexicographic search runs only for the row
+# that fires.
 
 
 def _always(g: Graph) -> tuple[int, ...]:
     return ()
-
-
-def _on_pattern(branch_id: str, pid: str, build):
-    """A row that fires on the least induced copy of a catalog pattern."""
-    pattern = PATTERNS[pid]
-
-    def probe(g: Graph) -> tuple[int, ...] | None:
-        emb = find_induced(g, pattern)
-        return None if emb is None else emb.map
-
-    return branch_id, pid, probe, build
 
 
 def _j7_anchor(g: Graph) -> tuple[int, ...] | None:
@@ -705,26 +698,26 @@ _BANDS = (
     (("B0", None, _always, _branch_b0),),  # omega <= 1
     (("OMEGA2", None, _always, _branch_omega2),),  # omega == 2
     (  # omega == 3
-        _on_pattern("J1", "p2uk3", _branch_j1),
-        _on_pattern("J2", "f1", _branch_j_triangle),
-        _on_pattern("J3", "f2", _branch_j3),
-        _on_pattern("J4", "f3", _branch_j_triangle),
-        _on_pattern("J5", "f4", _branch_j_triangle),
-        _on_pattern("J6", "hammer", _branch_j6),
+        ("J1", "p2uk3", None, _branch_j1),
+        ("J2", "f1", None, _branch_j_triangle),
+        ("J3", "f2", None, _branch_j3),
+        ("J4", "f3", None, _branch_j_triangle),
+        ("J5", "f4", None, _branch_j_triangle),
+        ("J6", "hammer", None, _branch_j6),
         ("J7", "k1uk3", _j7_anchor, _branch_j7),
         ("J8", None, _always, _branch_j8),
     ),
     (  # omega == 4
-        _on_pattern("H1", "2k3", _branch_h1),
-        _on_pattern("H2", "p2uk4", _branch_h2),
-        _on_pattern("H3", "p2uk3", _branch_h3),
-        _on_pattern("H4", "four_triangle", _branch_h4),
-        _on_pattern("H5", "gem", _branch_h5),
+        ("H1", "2k3", None, _branch_h1),
+        ("H2", "p2uk4", None, _branch_h2),
+        ("H3", "p2uk3", None, _branch_h3),
+        ("H4", "four_triangle", None, _branch_h4),
+        ("H5", "gem", None, _branch_h5),
         ("H6", None, _always, _branch_h6),
     ),
     (  # omega >= 5
-        _on_pattern("G1", "w5", _branch_g1),
-        _on_pattern("G2", "p2uk3", _branch_g2),
+        ("G1", "w5", None, _branch_g1),
+        ("G2", "p2uk3", None, _branch_g2),
         ("G3", None, lambda g: first_edge_in(g, g.full_mask), _branch_g3),
     ),
 )
@@ -732,8 +725,16 @@ _BANDS = (
 
 def _fire(g: Graph, omega: int):
     """The choice made by omega's band, with the builder of its row."""
+    facts = None
     for branch_id, pid, probe, build in _BANDS[min(max(omega, 1), 5) - 1]:
-        anchor = probe(g)
+        if probe is None:
+            pattern = PATTERNS[pid]
+            facts = facts or host_facts(g)
+            if not has_induced(g, pattern, facts):
+                continue
+            anchor = find_induced(g, pattern, facts).map
+        else:
+            anchor = probe(g)
         if anchor is not None:
             return BranchChoice(branch_id, pid, anchor), build
     raise ValueError(f"no branch fired: omega={omega} is not the clique number")

@@ -2,13 +2,20 @@
 
 The catalog is a fixed table of the patterns this package recognizes.
 Detection is exhaustive search over injective maps, pruned by degrees and
-per-level bitmask candidate filtering, so "first embedding" is the
-lexicographically least image tuple and results are reproducible.
+per-level bitmask candidate filtering over per-graph facts (``host_facts``)
+that several searches on one graph can share.  ``find_induced`` and
+``iter_induced`` place pattern vertices in index order, so "first
+embedding" is the lexicographically least image tuple and results are
+reproducible.  ``has_induced`` only answers yes or no, so it uses a plan
+compiled once per pattern: most-constrained vertex first, with the
+pattern's automorphisms broken by ordering conditions on the images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
+from typing import NamedTuple
 
 from .graphs import Graph, bits, complement, complete, cycle, empty_graph, join, path, union
 
@@ -108,49 +115,112 @@ PATTERNS: dict[str, Pattern] = _build_catalog()
 
 # -- search engine --------------------------------------------------------
 
+
+class HostFacts(NamedTuple):
+    """Per-graph facts every search on one host shares, built once.
+
+    ``anti[v]`` is M({v}), the vertices other than v not adjacent to it;
+    ``deg_ge[d]`` is the set of vertices of degree at least d, for
+    d = 0..n.
+    """
+
+    anti: list[int]
+    deg_ge: list[int]
+
+
+def host_facts(g: Graph) -> HostFacts:
+    n = g.n
+    full = (1 << n) - 1
+    anti = []
+    deg_ge = [0] * (n + 1)
+    for v, row in enumerate(g.adj):
+        anti.append(full & ~(row | 1 << v))
+        deg_ge[row.bit_count()] |= 1 << v
+    for d in range(n - 1, -1, -1):
+        deg_ge[d] |= deg_ge[d + 1]
+    return HostFacts(anti, deg_ge)
+
+
+def _levels(p: Graph, order, below) -> tuple:
+    """Search levels placing p's vertices in ``order``: per level, the
+    vertex's degree, the earlier levels it is adjacent and non-adjacent
+    to, and the earlier levels whose image must be smaller than its own."""
+    levels = []
+    for i, v in enumerate(order):
+        adj_prev = tuple(j for j in range(i) if p.adj[v] >> order[j] & 1)
+        non_prev = tuple(j for j in range(i) if not p.adj[v] >> order[j] & 1)
+        levels.append((p.adj[v].bit_count(), adj_prev, non_prev, tuple(below[i])))
+    return tuple(levels)
+
+
+def _automorphisms(p: Graph) -> list[tuple[int, ...]]:
+    adj = p.adj
+    return [
+        a
+        for a in permutations(range(p.n))
+        if all((adj[a[u]] >> a[w] & 1) == (adj[u] >> w & 1) for u in range(p.n) for w in range(u))
+    ]
+
+
+def _presence_levels(p: Graph) -> tuple:
+    """Levels for a yes/no search: most-constrained vertex first (most
+    edges to placed vertices, then degree), and Grochow-Kellis symmetry
+    breaking.  Walking the order, each vertex v must take a smaller image
+    than every other vertex of its orbit under the automorphisms fixing
+    the vertices before it; every induced copy of p has exactly one map
+    meeting these conditions, so presence is unchanged."""
+    order: list[int] = []
+    placed = 0
+    while len(order) < p.n:
+        v = max(
+            (u for u in range(p.n) if not placed >> u & 1),
+            key=lambda u: ((p.adj[u] & placed).bit_count(), p.adj[u].bit_count(), -u),
+        )
+        order.append(v)
+        placed |= 1 << v
+    below: list[list[int]] = [[] for _ in order]
+    group = _automorphisms(p)
+    for i, v in enumerate(order):
+        # Earlier vertices are fixed by ``group``, so the orbit lies later.
+        for w in {a[v] for a in group} - {v}:
+            below[order.index(w)].append(i)
+        group = [a for a in group if a[v] == v]
+    # Drop a bound implied by another through the earlier levels' bounds.
+    implied: list[set[int]] = []
+    for i, js in enumerate(below):
+        implied.append(set().union(*(implied[j] | {j} for j in js)))
+        below[i] = [j for j in js if not any(j in implied[jj] for jj in js)]
+    return _levels(p, order, below)
+
+
 _PLANS: dict[tuple, tuple] = {}
 
 
-def _plan(p: Pattern):
-    """Per-level adjacency constraints, compiled once per pattern."""
+def _plan(p: Pattern) -> tuple:
+    """(lexicographic levels, presence levels), compiled once per pattern."""
     key = (p.id, p.graph.adj)
     plan = _PLANS.get(key)
     if plan is None:
         g = p.graph
-        levels = []
-        for i in range(g.n):
-            adj_prev = tuple(j for j in range(i) if g.adj[i] >> j & 1)
-            non_prev = tuple(j for j in range(i) if not g.adj[i] >> j & 1)
-            levels.append((adj_prev, non_prev, g.adj[i].bit_count()))
-        plan = tuple(levels)
+        plan = (_levels(g, range(g.n), [()] * g.n), _presence_levels(g))
         _PLANS[key] = plan
     return plan
 
 
-def iter_induced(g: Graph, p: Pattern):
-    """Yield all induced embeddings of p in g, in lexicographic image order."""
-    k = p.order
-    n = g.n
-    if k > n:
+def _search(g: Graph, levels: tuple, facts: HostFacts | None):
+    """Yield the image tuples (in level order) of every map placing the
+    levels' vertices injectively on g with the levels' adjacency,
+    non-adjacency and ordering constraints, least candidate first."""
+    k = len(levels)
+    if k > g.n:
         return
-    plan = _plan(p)
     adj = g.adj
-    full = (1 << n) - 1
-    anti = [full & ~(adj[v] | 1 << v) for v in range(n)]
-    deg_ok = []
-    degs = [row.bit_count() for row in adj]
-    for i in range(k):
-        need = plan[i][2]
-        m = 0
-        for v in range(n):
-            if degs[v] >= need:
-                m |= 1 << v
-        deg_ok.append(m)
+    anti, deg_ge = facts or host_facts(g)
 
     img = [0] * k
     cand = [0] * k
     used = 0
-    cand[0] = deg_ok[0]
+    cand[0] = deg_ge[levels[0][0]]
     level = 0
     while level >= 0:
         c = cand[level]
@@ -161,31 +231,40 @@ def iter_induced(g: Graph, p: Pattern):
             continue
         b = c & -c
         cand[level] = c ^ b
-        v = b.bit_length() - 1
+        img[level] = b.bit_length() - 1
         if level == k - 1:
-            img[level] = v
-            yield PatternEmbedding(p.id, tuple(img))
+            yield tuple(img)
             continue
-        img[level] = v
         used |= b
-        nxt = level + 1
-        adj_prev, non_prev, _ = plan[nxt]
-        m = deg_ok[nxt] & ~used
+        level += 1
+        degree, adj_prev, non_prev, below = levels[level]
+        m = deg_ge[degree] & ~used
         for j in adj_prev:
             m &= adj[img[j]]
         for j in non_prev:
             m &= anti[img[j]]
-        cand[nxt] = m
-        level = nxt
+        for j in below:
+            m &= -(2 << img[j])
+        cand[level] = m
 
 
-def find_induced(g: Graph, p: Pattern) -> PatternEmbedding | None:
+def iter_induced(g: Graph, p: Pattern, facts: HostFacts | None = None):
+    """Yield all induced embeddings of p in g, in lexicographic image order."""
+    for img in _search(g, _plan(p)[0], facts):
+        yield PatternEmbedding(p.id, img)
+
+
+def find_induced(
+    g: Graph, p: Pattern, facts: HostFacts | None = None
+) -> PatternEmbedding | None:
     """Least induced embedding of p in g, or None."""
-    return next(iter_induced(g, p), None)
+    return next(iter_induced(g, p, facts), None)
 
 
-def has_induced(g: Graph, p: Pattern) -> bool:
-    return find_induced(g, p) is not None
+def has_induced(g: Graph, p: Pattern, facts: HostFacts | None = None) -> bool:
+    """Whether g has an induced copy of p, by the presence plan: the same
+    answer as ``find_induced``, usually from far fewer search nodes."""
+    return next(_search(g, _plan(p)[1], facts), None) is not None
 
 
 # -- class membership -------------------------------------------------------

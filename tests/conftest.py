@@ -126,6 +126,41 @@ def count_induced(g: Graph, p: Pattern) -> int:
     return count
 
 
+# The colorer's dispatch as it was before presence gating: every row of the
+# band runs its full lexicographic probe, in the paper's order, and the first
+# row with an anchor fires.
+REFERENCE_BANDS = (
+    (("B0", None),),
+    (("OMEGA2", None),),
+    (("J1", "p2uk3"), ("J2", "f1"), ("J3", "f2"), ("J4", "f3"), ("J5", "f4"),
+     ("J6", "hammer"), ("J7", "k1uk3"), ("J8", None)),
+    (("H1", "2k3"), ("H2", "p2uk4"), ("H3", "p2uk3"), ("H4", "four_triangle"),
+     ("H5", "gem"), ("H6", None)),
+    (("G1", "w5"), ("G2", "p2uk3"), ("G3", None)),
+)
+
+
+def reference_branch(g: Graph, omega: int):
+    """The BranchChoice of the ungated dispatch walk over REFERENCE_BANDS."""
+    from twoomega.colorer import BranchChoice, _j7_anchor
+    from twoomega.graphs import first_edge_in
+    from twoomega.patterns import find_induced
+
+    for branch_id, pid in REFERENCE_BANDS[min(max(omega, 1), 5) - 1]:
+        if branch_id == "J7":
+            anchor = _j7_anchor(g)
+        elif branch_id == "G3":
+            anchor = first_edge_in(g, g.full_mask)
+        elif pid is None:
+            anchor = ()
+        else:
+            emb = find_induced(g, PATTERNS[pid])
+            anchor = None if emb is None else emb.map
+        if anchor is not None:
+            return BranchChoice(branch_id, pid, anchor)
+    raise AssertionError(f"no branch fired for omega={omega}")
+
+
 @st.composite
 def graph_strategy(draw, max_n: int = 8):
     n = draw(st.integers(min_value=0, max_value=max_n))

@@ -72,6 +72,24 @@ def test_color_k5_stdin(capsys, monkeypatch):
     assert cert["omega"] == 5 and cert["budget"] == 10
 
 
+def test_color_withholds_certificate_failing_check(capsys, monkeypatch):
+    import twoomega.cli as cli
+    from twoomega.colorer import CheckResult
+
+    calls = []
+
+    def second_fails(g, cert):
+        calls.append(g)
+        return CheckResult(False, "planted failure") if len(calls) == 2 else CheckResult(True)
+
+    monkeypatch.setattr(cli, "check_certificate", second_fails)
+    code, out, err = run_cli(capsys, "color", "-", stdin="Dhc\nD~{\n",
+                             monkeypatch=monkeypatch)
+    assert code == 1
+    assert [json.loads(line)["branch"] for line in out.strip().split("\n")] == ["OMEGA2"]
+    assert err == "certificate failed independent check: planted failure\n"
+
+
 def test_check_nonmember_exit_code(capsys, monkeypatch):
     # C5 plus a far edge contains p3up2
     code, out, err = run_cli(capsys, "check", "-", stdin="Fhc?G\n",

@@ -346,6 +346,26 @@ def test_structured_members_stress():
     assert hist["G1"] > 0 and hist["G2"] > 0 and hist["G3"] > 0
 
 
+def test_find_branch_matches_ungated_reference():
+    # n = 6 members are outside the golden corpus; structured members reach
+    # the omega >= 5 band, and BRANCH_SUITE holds the only H4 trigger
+    from twoomega.oracles import clique_number
+    from twoomega.patterns import is_class_member
+
+    from conftest import reference_branch
+
+    graphs = [make() for _, make, _ in BRANCH_SUITE]
+    graphs += (g for g in all_graphs(6) if is_class_member(g))
+    graphs += structured_members()
+    branches = set()
+    for g in graphs:
+        omega, _ = clique_number(g)
+        choice = find_branch(g, omega)
+        assert choice == reference_branch(g, omega), g.adj
+        branches.add(choice.branch_id)
+    assert len(branches) == 19
+
+
 # sha256 over the certificate_to_json lines of golden_corpus(), with
 # assert_proofs off and on: certificates (parts, anchors, assertions) are
 # byte-identical across refactors of the colorer

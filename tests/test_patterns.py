@@ -11,6 +11,7 @@ from twoomega.patterns import (
 )
 
 from conftest import (
+    all_graphs,
     count_induced,
     graph_strategy,
     induced_isomorphic,
@@ -103,9 +104,13 @@ def test_fast_member_agrees_with_reports(rng):
 
 
 def test_detector_equivalence_small(rng):
-    # dev-loop version of the full acceptance criterion
-    for _ in range(60):
-        g = rand_graph(rng, rng.randrange(0, 8))
+    # dev-loop version of the full acceptance criterion: random graphs, plus
+    # every labeled graph with n <= 5, so each pattern's presence plan (the
+    # highly symmetric k5, 2k3, w5 and four_triangle included) meets every
+    # small host, hosts smaller than the pattern too
+    hosts = [rand_graph(rng, rng.randrange(0, 8)) for _ in range(60)]
+    hosts += [g for n in range(6) for g in all_graphs(n)]
+    for g in hosts:
         for p in PATTERNS.values():
             assert has_induced(g, p) == (count_induced(g, p) > 0), p.id
 
