@@ -107,6 +107,7 @@ class BranchTrace:
 class ColoringCertificate:
     coloring: Coloring
     omega: int
+    clique: tuple[int, ...]  # an omega-clique: the witness that omega is attained
     budget: int
     trace: BranchTrace
     class_checked: bool
@@ -775,7 +776,7 @@ def color_bounded(
             raise NotInClass(report)
         class_checked = True
 
-    omega, _ = clique_number(g)
+    omega, clique = clique_number(g)
     choice, build = _fire(g, omega)
     part_plan, checks = build(g, omega, choice.anchor)
 
@@ -819,14 +820,14 @@ def color_bounded(
         raise StrategyPreconditionFailed("proper-coloring", f"edge {edge} monochromatic")
 
     trace = BranchTrace(choice.branch_id, choice.anchor, tuple(parts_out), tuple(ran))
-    return ColoringCertificate(coloring, omega, 2 * omega, trace, class_checked)
+    return ColoringCertificate(coloring, omega, clique, 2 * omega, trace, class_checked)
 
 
 def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
     """Independent verifier: re-validates properness, the part partition,
-    per-part budgets, disjoint per-part color ranges and the total against
-    a freshly computed omega.  Shares no code path with color_bounded's
-    strategy executors."""
+    per-part budgets, disjoint per-part color ranges, the clique witness
+    and the total against 2*|witness|.  Runs no exact solver and shares no
+    code path with color_bounded's strategy executors."""
     colors = cert.coloring.colors
     if len(colors) != g.n:
         return CheckResult(False, "coloring length mismatch")
@@ -840,6 +841,8 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
     seen = 0
     palette = 0  # colors used by the parts checked so far, as a mask
     for part in cert.trace.parts:
+        if part.vertices & ~g.full_mask:  # also catches negative masks
+            return CheckResult(False, f"part {part.name} has vertices outside the graph")
         if part.vertices & seen:
             return CheckResult(False, f"part {part.name} overlaps another part")
         seen |= part.vertices
@@ -854,10 +857,17 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
         palette |= used_mask
     if seen != g.full_mask:
         return CheckResult(False, "parts do not partition V(G)")
-    omega, _ = clique_number(g)
-    if cert.omega != omega:
-        return CheckResult(False, f"certificate omega {cert.omega} != {omega}")
-    if cert.budget != 2 * omega:
+    wit = cert.clique
+    if len(wit) != cert.omega:
+        return CheckResult(False, f"witness has {len(wit)} vertices, omega is {cert.omega}")
+    if any(not 0 <= v < g.n for v in wit):
+        return CheckResult(False, "witness has vertices outside the graph")
+    wit_mask = bitmask(wit)
+    if wit_mask.bit_count() != len(wit):
+        return CheckResult(False, "witness repeats a vertex")
+    if any(wit_mask & ~(g.adj[v] | 1 << v) for v in wit):
+        return CheckResult(False, "witness is not a clique")
+    if cert.budget != 2 * cert.omega:
         return CheckResult(False, "budget is not 2*omega")
     if max(colors, default=0) > cert.budget:
         return CheckResult(False, "palette exceeds budget")

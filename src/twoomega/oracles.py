@@ -36,6 +36,7 @@ class ChromaticResult:
     upper: int
     coloring: Coloring | None
     timed_out: bool
+    clique: tuple[int, ...]  # the maximum clique pre-colored; () when n == 0
 
 
 def validate_coloring(g: Graph, c: Coloring) -> tuple[bool, tuple[int, int] | None]:
@@ -211,22 +212,22 @@ def chromatic_number(g: Graph, time_budget: float | None = None) -> ChromaticRes
     """
     n = g.n
     if n == 0:
-        return ChromaticResult(0, 0, 0, Coloring(()), False)
+        return ChromaticResult(0, 0, 0, Coloring(()), False, ())
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     lower, clique = clique_number(g)
     ub_coloring = greedy_coloring(g)
     upper = ub_coloring.palette_size
     best = ub_coloring
     if lower == upper:
-        return ChromaticResult(lower, lower, upper, best, False)
+        return ChromaticResult(lower, lower, upper, best, False, clique)
     for k in range(lower, upper):
         try:
             got = _k_colorable(g, k, clique, deadline)
         except _Deadline:
-            return ChromaticResult(None, k, upper, best, True)
+            return ChromaticResult(None, k, upper, best, True, clique)
         if got is not None:
-            return ChromaticResult(k, k, k, Coloring(tuple(got)), False)
-    return ChromaticResult(upper, upper, upper, best, False)
+            return ChromaticResult(k, k, k, Coloring(tuple(got)), False, clique)
+    return ChromaticResult(upper, upper, upper, best, False, clique)
 
 
 # -- bipartite witness -------------------------------------------------------

@@ -319,9 +319,10 @@ def is_class_member(g: Graph) -> bool:
 
 def class_membership(g: Graph) -> ClassReport:
     """Check (p3up2, w4)-freeness, with least violating embeddings on failure."""
+    facts = host_facts(g)
     violations = []
     for pid in ("p3up2", "w4"):
-        emb = find_induced(g, PATTERNS[pid])
+        emb = find_induced(g, PATTERNS[pid], facts)
         if emb is not None:
             violations.append(emb)
     return ClassReport(member=not violations, violations=tuple(violations))

@@ -63,6 +63,16 @@ def naive_chromatic(g: Graph) -> int:
     raise AssertionError("unreachable: n colors always suffice")
 
 
+def naive_clique_number(g: Graph) -> int:
+    """Largest k such that some k vertices are pairwise adjacent: plain
+    subset enumeration from k = n down, no bounds, no ordering."""
+    for k in range(g.n, 0, -1):
+        for subset in itertools.combinations(range(g.n), k):
+            if all(g.adj[u] >> v & 1 for u, v in itertools.combinations(subset, 2)):
+                return k
+    return 0
+
+
 def verify_embedding(g: Graph, emb: PatternEmbedding) -> bool:
     """Check that the map is an induced-subgraph isomorphism (edges and non-edges)."""
     p = PATTERNS[emb.pattern_id]

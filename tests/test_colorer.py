@@ -218,6 +218,53 @@ def test_check_certificate_rejects_shared_part_colors():
     assert res.failure == "part m_closed_pair reuses a color of an earlier part"
 
 
+@pytest.mark.parametrize("mask_of", [lambda m: m | 1 << 7, lambda m: -1], ids=["bit7", "minus1"])
+def test_check_certificate_rejects_part_outside_graph(mask_of):
+    from dataclasses import replace
+
+    g = cycle(5)
+    cert = color_bounded(g)
+    first, *rest = cert.trace.parts
+    parts = (replace(first, vertices=mask_of(first.vertices)), *rest)
+    res = check_certificate(g, replace(cert, trace=replace(cert.trace, parts=parts)))
+    assert not res
+    assert res.failure == f"part {first.name} has vertices outside the graph"
+
+
+@pytest.mark.parametrize("clique,failure", [
+    ((0, 3, 4, 5), "witness is not a clique"),
+    ((2, 3, 4), "witness has 3 vertices, omega is 4"),
+    ((2, 3, 4, 5, 1), "witness has 5 vertices, omega is 4"),
+    ((2, 2, 4, 5), "witness repeats a vertex"),
+    ((2, 3, 4, 6), "witness has vertices outside the graph"),
+    ((-1, 3, 4, 5), "witness has vertices outside the graph"),
+], ids=["non-adjacent", "too-small", "too-large", "repeated", "past-n", "negative"])
+def test_check_certificate_rejects_tampered_witness(clique, failure):
+    from dataclasses import replace
+
+    g = union(complete(2), complete(4))
+    cert = color_bounded(g)
+    assert cert.clique == (2, 3, 4, 5) and check_certificate(g, cert)
+    res = check_certificate(g, replace(cert, clique=clique))
+    assert not res
+    assert res.failure == failure
+
+
+def test_check_certificate_runs_no_exact_solver(monkeypatch):
+    from twoomega import colorer, oracles
+
+    certs = [(g, color_bounded(g)) for g in (make() for _, make, _ in BRANCH_SUITE)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_certificate reached an exact solver")
+
+    for mod in (colorer, oracles):
+        monkeypatch.setattr(mod, "clique_number", forbidden)
+        monkeypatch.setattr(mod, "chromatic_number", forbidden)
+    for g, cert in certs:
+        assert check_certificate(g, cert)
+
+
 # -- execute_part -------------------------------------------------------------
 
 

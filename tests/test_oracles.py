@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,7 +14,14 @@ from twoomega.oracles import (
 )
 from twoomega.witnesses import groetzsch, mycielskian, schlafli_complement
 
-from conftest import graph_strategy, naive_chromatic, petersen, rand_graph
+from conftest import (
+    all_graphs,
+    graph_strategy,
+    naive_chromatic,
+    naive_clique_number,
+    petersen,
+    rand_graph,
+)
 
 
 def test_clique_examples():
@@ -21,15 +30,27 @@ def test_clique_examples():
     assert clique_number(schlafli_complement())[0] == 3
 
 
+def _assert_exact_clique(g):
+    size, wit = clique_number(g)
+    assert size == naive_clique_number(g)
+    assert len(set(wit)) == size == len(wit)
+    assert all(g.has_edge(a, b) for a, b in itertools.combinations(wit, 2))
+
+
 def test_clique_witness_is_clique(rng):
-    for _ in range(80):
-        g = rand_graph(rng, rng.randrange(0, 10))
-        size, wit = clique_number(g)
-        assert len(wit) == size
-        for a in wit:
-            for b in wit:
-                if a != b:
-                    assert g.has_edge(a, b)
+    for _ in range(200):
+        _assert_exact_clique(rand_graph(rng, rng.randrange(0, 13), rng.choice((0.3, 0.5, 0.8))))
+
+
+def test_clique_number_exact_on_all_small_graphs():
+    # check_certificate verifies a certificate's clique witness but not that
+    # it is maximum, so the solver's exactness is pinned here.
+    count = 0
+    for n in range(7):
+        for g in all_graphs(n):
+            _assert_exact_clique(g)
+            count += 1
+    assert count == 33868
 
 
 def test_chromatic_examples():
