@@ -170,6 +170,7 @@ def _process_member(g: Graph, cfg: RunConfig) -> CorpusRecord:
     try:
         cert = color_bounded(g, assert_proofs=cfg.assert_proofs)
         ok = bool(check_certificate(g, cert))
+        clique = cert.clique if ok else None  # a checked witness spares the oracle its search
         used = cert.coloring.palette_size
         omega = cert.omega
         branch = cert.trace.branch_id
@@ -179,10 +180,10 @@ def _process_member(g: Graph, cfg: RunConfig) -> CorpusRecord:
         ok = False
         used = 0
         branch = "error"
-        omega, _ = clique_number(g)
+        omega, clique = clique_number(g)
     chi = None
     if cfg.oracle:
-        chi = chromatic_number(g).chi
+        chi = chromatic_number(g, clique=clique).chi
         if chi is not None and chi > 2 * omega:
             ok = False
     millis = (time.perf_counter() - t0) * 1000.0

@@ -32,7 +32,14 @@ from .graphs import (
     least_triangle_in,
 )
 from .oracles import Coloring, chromatic_number, clique_number, two_coloring, validate_coloring
-from .patterns import PATTERNS, class_membership, find_induced, has_induced, host_facts
+from .patterns import (
+    PATTERNS,
+    class_membership,
+    find_induced,
+    first_present,
+    has_induced,
+    host_facts,
+)
 
 
 class ColorerError(Exception):
@@ -671,28 +678,26 @@ def _branch_j8(g, omega, anchor):
 #
 # One band of rows per clique number (<= 1, 2, 3, 4, >= 5), each row being
 # (branch id, trigger pattern, anchor probe, builder).  The first row of
-# the band whose probe returns an anchor fires; the last row of every band
+# the band whose trigger is present fires; the last row of every band
 # always fires.  A row without a probe fires on the least induced copy of
-# its trigger pattern; most such rows do not fire, so the presence search
-# rules them out first and the lexicographic search runs only for the row
-# that fires.
+# its trigger pattern, and the lexicographic search runs only for the row
+# that fires.  In the omega >= 5 band a presence search rules out each
+# trigger in turn.  Every trigger of the omega = 3 and omega = 4 bands
+# contains a triangle, so one pass over the host's triangles decides
+# those bands (``first_present``).
 
 
-def _always(g: Graph) -> tuple[int, ...]:
+def _always(g: Graph, *_) -> tuple[int, ...]:
     return ()
 
 
-def _j7_anchor(g: Graph) -> tuple[int, ...] | None:
-    """Least k1uk3 anchor (v, t1, t2, t3), preferring a non-isolated v so
+def _j7_anchor(g: Graph, k1: int) -> tuple[int, ...]:
+    """Least k1uk3 anchor (v, t1, t2, t3), given the vertices k1 that have
+    a triangle in their non-neighborhood, preferring a non-isolated v so
     the branch's companion vertex v' exists."""
-    for isolated_pass in (False, True):
-        for v in range(g.n):
-            if (g.adj[v] == 0) != isolated_pass:
-                continue
-            tri = least_triangle_in(g, g.full_mask & ~(g.adj[v] | 1 << v))
-            if tri is not None:
-                return (v, *tri)
-    return None
+    hosts = bitmask(v for v in bits(k1) if g.adj[v]) or k1
+    v = (hosts & -hosts).bit_length() - 1
+    return (v, *least_triangle_in(g, g.full_mask & ~(g.adj[v] | 1 << v)))
 
 
 _BANDS = (
@@ -726,8 +731,15 @@ _BANDS = (
 
 def _fire(g: Graph, omega: int):
     """The choice made by omega's band, with the builder of its row."""
+    band = _BANDS[min(max(omega, 1), 5) - 1]
+    if omega in (3, 4):
+        facts = host_facts(g)
+        i, k1 = first_present(g, [PATTERNS[row[1]] for row in band[:-1]], facts)
+        branch_id, pid, probe, build = band[i]
+        anchor = probe(g, k1) if probe else find_induced(g, PATTERNS[pid], facts).map
+        return BranchChoice(branch_id, pid, anchor), build
     facts = None
-    for branch_id, pid, probe, build in _BANDS[min(max(omega, 1), 5) - 1]:
+    for branch_id, pid, probe, build in band:
         if probe is None:
             pattern = PATTERNS[pid]
             facts = facts or host_facts(g)
@@ -841,6 +853,8 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
     seen = 0
     palette = 0  # colors used by the parts checked so far, as a mask
     for part in cert.trace.parts:
+        if not isinstance(part.vertices, int):
+            return CheckResult(False, f"part {part.name} has a non-integer vertex mask")
         if part.vertices & ~g.full_mask:  # also catches negative masks
             return CheckResult(False, f"part {part.name} has vertices outside the graph")
         if part.vertices & seen:
@@ -860,6 +874,8 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
     wit = cert.clique
     if len(wit) != cert.omega:
         return CheckResult(False, f"witness has {len(wit)} vertices, omega is {cert.omega}")
+    if any(not isinstance(v, int) for v in wit):
+        return CheckResult(False, "witness has a non-integer vertex")
     if any(not 0 <= v < g.n for v in wit):
         return CheckResult(False, "witness has vertices outside the graph")
     wit_mask = bitmask(wit)

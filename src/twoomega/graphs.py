@@ -32,7 +32,10 @@ def bitmask(vertices) -> int:
 
 
 def bits(mask: int):
-    """Iterate the vertices of a mask in ascending order."""
+    """Iterate the vertices of a mask in ascending order.  A negative mask
+    stands for an infinite set, so it raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"vertex mask must be non-negative, got {mask}")
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
@@ -232,6 +235,16 @@ def least_triangle_in(g: Graph, mask: int) -> tuple[int, int, int] | None:
             if nc:
                 return a, b, (nc & -nc).bit_length() - 1
     return None
+
+
+def triangles(g: Graph):
+    """Yield the triangles (a, b, c), a < b < c, of g in lexicographic order."""
+    adj = g.adj
+    for a in range(g.n):
+        na = adj[a] & ~((2 << a) - 1)
+        for b in bits(na):
+            for c in bits(na & adj[b] & ~((2 << b) - 1)):
+                yield a, b, c
 
 
 def clique_components(g: Graph, mask: int) -> list[int] | None:

@@ -36,7 +36,7 @@ class ChromaticResult:
     upper: int
     coloring: Coloring | None
     timed_out: bool
-    clique: tuple[int, ...]  # the maximum clique pre-colored; () when n == 0
+    clique: tuple[int, ...]  # the clique pre-colored: maximum unless passed in; () when n == 0
 
 
 def validate_coloring(g: Graph, c: Coloring) -> tuple[bool, tuple[int, int] | None]:
@@ -203,18 +203,32 @@ def _k_colorable(g: Graph, k: int, clique: tuple[int, ...], deadline: float | No
     return colors if dive(max_used) else None
 
 
-def chromatic_number(g: Graph, time_budget: float | None = None) -> ChromaticResult:
+def chromatic_number(
+    g: Graph, time_budget: float | None = None, clique: tuple[int, ...] | None = None
+) -> ChromaticResult:
     """Exact chromatic number with an optimal coloring.
 
     With a time budget (seconds), may return a timed-out result whose
     ``lower``/``upper`` bracket the answer and whose coloring attains
-    ``upper``.
+    ``upper``.  A caller that already knows a clique of g passes it as
+    ``clique`` and the solver skips its own clique search.  Any clique is
+    a valid lower bound and its vertices need distinct colors, so chi
+    stays exact; a clique smaller than omega only costs search time.
+    Raises ValueError if ``clique`` is not a clique of g.
     """
     n = g.n
     if n == 0:
         return ChromaticResult(0, 0, 0, Coloring(()), False, ())
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    lower, clique = clique_number(g)
+    if clique is None:
+        lower, clique = clique_number(g)
+    else:
+        lower = len(clique)
+        members = 0
+        for v in clique:
+            if not 0 <= v < n or g.adj[v] & members != members:
+                raise ValueError(f"{clique} is not a clique of the graph")
+            members |= 1 << v
     ub_coloring = greedy_coloring(g)
     upper = ub_coloring.palette_size
     best = ub_coloring

@@ -9,15 +9,35 @@ embedding" is the lexicographically least image tuple and results are
 reproducible.  ``has_induced`` only answers yes or no, so it uses a plan
 compiled once per pattern: most-constrained vertex first, with the
 pattern's automorphisms broken by ordering conditions on the images.
+
+A pattern with a triangle also gets a rooted plan: one of its triangles
+is the root, in each orientation its automorphisms do not identify, and
+every other vertex carries a hit code (the root vertices it is adjacent
+to).  ``first_present`` decides several such patterns in one pass over
+the host's triangles: each triangle's eight hit classes (the vertices
+adjacent to exactly a given subset of it) are computed once, and every
+pattern still pending extends from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .graphs import Graph, bits, complement, complete, cycle, empty_graph, join, path, union
+from .graphs import (
+    Graph,
+    bitmask,
+    bits,
+    complement,
+    complete,
+    cycle,
+    empty_graph,
+    join,
+    path,
+    triangles,
+    union,
+)
 
 
 @dataclass(frozen=True)
@@ -162,15 +182,17 @@ def _automorphisms(p: Graph) -> list[tuple[int, ...]]:
     ]
 
 
-def _presence_levels(p: Graph) -> tuple:
-    """Levels for a yes/no search: most-constrained vertex first (most
-    edges to placed vertices, then degree), and Grochow-Kellis symmetry
-    breaking.  Walking the order, each vertex v must take a smaller image
-    than every other vertex of its orbit under the automorphisms fixing
-    the vertices before it; every induced copy of p has exactly one map
-    meeting these conditions, so presence is unchanged."""
-    order: list[int] = []
-    placed = 0
+def _presence_levels(p: Graph, group: list, root: tuple[int, ...] = ()) -> tuple:
+    """Levels for a yes/no search: the ``root`` vertices first, then the
+    most-constrained vertex (most edges to placed vertices, then degree),
+    and Grochow-Kellis symmetry breaking under the automorphisms of p in
+    ``group`` that fix the root.  Walking the order, each vertex v must
+    take a smaller image than every other vertex of its orbit under the
+    automorphisms fixing the vertices before it; every induced copy of p
+    with the root's images given has exactly one map meeting these
+    conditions, so presence is unchanged."""
+    order = list(root)
+    placed = bitmask(root)
     while len(order) < p.n:
         v = max(
             (u for u in range(p.n) if not placed >> u & 1),
@@ -179,7 +201,7 @@ def _presence_levels(p: Graph) -> tuple:
         order.append(v)
         placed |= 1 << v
     below: list[list[int]] = [[] for _ in order]
-    group = _automorphisms(p)
+    group = [a for a in group if all(a[r] == r for r in root)]
     for i, v in enumerate(order):
         # Earlier vertices are fixed by ``group``, so the orbit lies later.
         for w in {a[v] for a in group} - {v}:
@@ -193,16 +215,69 @@ def _presence_levels(p: Graph) -> tuple:
     return _levels(p, order, below)
 
 
+def _rooted_plan(p: Graph, group: list) -> tuple | None:
+    """The rooted plan of p, or None when p has no triangle.
+
+    One triangle t of p is the root: the one with the fewest orientations,
+    that is, maps of t onto a host triangle's slots (a, b, c), a < b < c,
+    distinct under the automorphisms of p that fix t as a set.  Per
+    orientation, the plan holds the mask of hit codes it needs and one
+    level per remaining vertex, in presence order: its hit code (bit s set
+    when it is adjacent to the root vertex in slot s), its degree, the
+    earlier remaining levels it is adjacent and non-adjacent to, and those
+    whose image must be smaller than its own."""
+    tris = [
+        t for t in combinations(range(p.n), 3)
+        if all(p.adj[u] >> w & 1 for u, w in combinations(t, 2))
+    ]
+    if not tris:
+        return None
+    best: tuple = ()
+    for t in tris:
+        stab = [a for a in group if {a[v] for v in t} == set(t)]
+        seen: set[tuple[int, ...]] = set()
+        reps = []
+        for o in permutations(t):
+            if o not in seen:
+                reps.append(o)
+                seen.update(tuple(a[v] for v in o) for a in stab)
+        if not best or len(reps) < len(best[1]):
+            best = (t, reps)
+    t, reps = best
+    rest = _presence_levels(p, group, t)[3:]
+    plan = []
+    for o in reps:
+        slot = [o.index(r) for r in t]
+        levels = tuple(
+            (
+                sum(1 << slot[j] for j in adj_prev if j < 3),
+                degree,
+                tuple(j - 3 for j in adj_prev if j >= 3),
+                tuple(j - 3 for j in non_prev if j >= 3),
+                tuple(j - 3 for j in below),
+            )
+            for degree, adj_prev, non_prev, below in rest
+        )
+        plan.append((bitmask(level[0] for level in levels), levels))
+    return tuple(plan)
+
+
 _PLANS: dict[tuple, tuple] = {}
 
 
 def _plan(p: Pattern) -> tuple:
-    """(lexicographic levels, presence levels), compiled once per pattern."""
+    """(lexicographic levels, presence levels, rooted plan), compiled once
+    per pattern."""
     key = (p.id, p.graph.adj)
     plan = _PLANS.get(key)
     if plan is None:
         g = p.graph
-        plan = (_levels(g, range(g.n), [()] * g.n), _presence_levels(g))
+        group = _automorphisms(g)
+        plan = (
+            _levels(g, range(g.n), [()] * g.n),
+            _presence_levels(g, group),
+            _rooted_plan(g, group),
+        )
         _PLANS[key] = plan
     return plan
 
@@ -265,6 +340,94 @@ def has_induced(g: Graph, p: Pattern, facts: HostFacts | None = None) -> bool:
     """Whether g has an induced copy of p, by the presence plan: the same
     answer as ``find_induced``, usually from far fewer search nodes."""
     return next(_search(g, _plan(p)[1], facts), None) is not None
+
+
+# -- triangle-rooted presence ------------------------------------------------
+
+
+def _hit_classes(g: Graph, a: int, b: int, c: int) -> tuple[int, ...]:
+    """The vertices outside the triangle (a, b, c) by the slots they are
+    adjacent to: entry ``code`` holds those adjacent to exactly the slots
+    whose bits are set in code (bit 0 for a, 1 for b, 2 for c)."""
+    adj = g.adj
+    na, nb, nc = adj[a], adj[b], adj[c]
+    rest = g.full_mask & ~(1 << a | 1 << b | 1 << c)
+    x0, x1 = rest & ~na, rest & na
+    y0, y1, y2, y3 = x0 & ~nb, x1 & ~nb, x0 & nb, x1 & nb
+    return (y0 & ~nc, y1 & ~nc, y2 & ~nc, y3 & ~nc, y0 & nc, y1 & nc, y2 & nc, y3 & nc)
+
+
+def _extends(levels: tuple, classes: tuple[int, ...], adj, facts: HostFacts) -> bool:
+    """Whether the remaining levels of one root orientation place on the
+    host from the hit classes of a host triangle."""
+    anti, deg_ge = facts
+    k = len(levels)
+    if not k:
+        return True
+    img = [0] * k
+    cand = [0] * k
+    used = 0
+    cand[0] = classes[levels[0][0]] & deg_ge[levels[0][1]]
+    level = 0
+    while level >= 0:
+        c = cand[level]
+        if not c:
+            level -= 1
+            if level >= 0:
+                used ^= 1 << img[level]
+            continue
+        if level == k - 1:
+            return True
+        b = c & -c
+        cand[level] = c ^ b
+        img[level] = b.bit_length() - 1
+        used |= b
+        level += 1
+        code, degree, adj_prev, non_prev, below = levels[level]
+        m = classes[code] & deg_ge[degree] & ~used
+        for j in adj_prev:
+            m &= adj[img[j]]
+        for j in non_prev:
+            m &= anti[img[j]]
+        for j in below:
+            m &= -(2 << img[j])
+        cand[level] = m
+    return False
+
+
+def first_present(
+    g: Graph, patterns: list[Pattern], facts: HostFacts | None = None
+) -> tuple[int, int]:
+    """Index of the first of ``patterns`` (each containing a triangle) with
+    an induced copy in g, or ``len(patterns)`` when none has one; and the
+    vertices with a triangle in their non-neighborhood.
+
+    Every copy maps its pattern's root triangle onto a host triangle, so
+    one pass over the host's triangles decides all the patterns: each
+    triangle's hit classes are computed once, and only the patterns ahead
+    of the first one found so far are tried from them."""
+    plans = [_plan(p)[2] for p in patterns]
+    facts = facts or host_facts(g)
+    adj = g.adj
+    best = len(plans)
+    k1 = 0
+    for a, b, c in triangles(g):
+        classes = _hit_classes(g, a, b, c)
+        k1 |= classes[0]
+        empty = 0  # the hit codes whose class is empty
+        for code, cls in enumerate(classes):
+            if not cls:
+                empty |= 1 << code
+        for i in range(best):
+            for need, levels in plans[i]:
+                if not need & empty and _extends(levels, classes, adj, facts):
+                    best = i
+                    break
+            if best == i:
+                break
+        if not best:
+            break
+    return best, k1
 
 
 # -- class membership -------------------------------------------------------

@@ -150,9 +150,24 @@ REFERENCE_BANDS = (
 )
 
 
+def _j7_anchor(g: Graph):
+    """Least k1uk3 anchor (v, t1, t2, t3), preferring a non-isolated v, by
+    a triangle search in M(v) for each v in turn; None without k1uk3."""
+    from twoomega.graphs import least_triangle_in
+
+    for isolated_pass in (False, True):
+        for v in range(g.n):
+            if (g.adj[v] == 0) != isolated_pass:
+                continue
+            tri = least_triangle_in(g, g.full_mask & ~(g.adj[v] | 1 << v))
+            if tri is not None:
+                return (v, *tri)
+    return None
+
+
 def reference_branch(g: Graph, omega: int):
     """The BranchChoice of the ungated dispatch walk over REFERENCE_BANDS."""
-    from twoomega.colorer import BranchChoice, _j7_anchor
+    from twoomega.colorer import BranchChoice
     from twoomega.graphs import first_edge_in
     from twoomega.patterns import find_induced
 

@@ -343,6 +343,27 @@ def test_parallel_scan_matches_single_threaded():
     assert s1.graphs_seen == s2.graphs_seen == 1024
 
 
+def test_scan_oracle_solves_omega_once(monkeypatch):
+    # the oracle reuses the checked certificate's clique, so a member whose
+    # parts need no whole-graph exact colouring runs the clique solver once
+    from twoomega import cli, colorer, oracles
+    from twoomega.patterns import PATTERNS
+
+    g = PATTERNS["p2uk3"].graph
+    calls = []
+    solve = oracles.clique_number
+
+    def counted(h):
+        calls.append(h.adj == g.adj)
+        return solve(h)
+
+    for mod in (cli, colorer, oracles):
+        monkeypatch.setattr(mod, "clique_number", counted)
+    rec = cli._process_member(g, RunConfig(oracle=True))
+    assert (rec.branch, rec.ok, rec.chi) == ("J1", True, 3)
+    assert calls.count(True) == 1
+
+
 def test_random_graph_matches_documented_algorithm():
     # edge (i,j) present iff the next splitmix64 word < p * 2^64, pairs in
     # lexicographic order

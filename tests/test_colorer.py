@@ -250,6 +250,26 @@ def test_check_certificate_rejects_tampered_witness(clique, failure):
     assert res.failure == failure
 
 
+@pytest.mark.parametrize("field,failure", [
+    ("clique", "witness has a non-integer vertex"),
+    ("mask", "part all has a non-integer vertex mask"),
+], ids=["float-witness", "float-mask"])
+def test_check_certificate_rejects_non_integers(field, failure):
+    from dataclasses import replace
+
+    g = complete(3)
+    cert = color_bounded(g)
+    assert check_certificate(g, cert)
+    if field == "clique":
+        cert = replace(cert, clique=(0, 1, 2.0))
+    else:
+        part = replace(cert.trace.parts[0], vertices=float(cert.trace.parts[0].vertices))
+        cert = replace(cert, trace=replace(cert.trace, parts=(part,)))
+    res = check_certificate(g, cert)
+    assert not res
+    assert res.failure == failure
+
+
 def test_check_certificate_runs_no_exact_solver(monkeypatch):
     from twoomega import colorer, oracles
 
@@ -393,9 +413,26 @@ def test_structured_members_stress():
     assert hist["G1"] > 0 and hist["G2"] > 0 and hist["G3"] > 0
 
 
+def n7_members(count: int, seed: int = 606):
+    """The first ``count`` class members among seeded uniform n=7 graphs."""
+    import random
+
+    from twoomega.cli import _graph_from_mask
+    from twoomega.patterns import is_class_member
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = _graph_from_mask(7, rng.randrange(1 << 21))
+        if is_class_member(g):
+            out.append(g)
+    return out
+
+
 def test_find_branch_matches_ungated_reference():
     # n = 6 members are outside the golden corpus; structured members reach
-    # the omega >= 5 band, and BRANCH_SUITE holds the only H4 trigger
+    # the omega >= 5 band, BRANCH_SUITE holds the only H4 trigger, and the
+    # n = 7 sample gives the triangle pass hosts with many triangles
     from twoomega.oracles import clique_number
     from twoomega.patterns import is_class_member
 
@@ -404,6 +441,7 @@ def test_find_branch_matches_ungated_reference():
     graphs = [make() for _, make, _ in BRANCH_SUITE]
     graphs += (g for g in all_graphs(6) if is_class_member(g))
     graphs += structured_members()
+    graphs += n7_members(3000)
     branches = set()
     for g in graphs:
         omega, _ = clique_number(g)

@@ -20,6 +20,7 @@ from twoomega.graphs import (
     least_triangle_in,
     parse_graph6_lines,
     path,
+    triangles,
     union,
 )
 from twoomega.patterns import PATTERNS, find_induced
@@ -137,6 +138,27 @@ def test_vertex_set_helpers_match_pattern_search(g):
                 assert all(g.adj[v] & mask | 1 << v == c for v in bits(c))
                 seen |= c
             assert seen == mask
+
+
+def test_bits_rejects_negative_mask():
+    # a negative mask is an infinite set: only the first item is taken, so
+    # a generator that never ends fails this test instead of hanging it
+    with pytest.raises(ValueError, match="non-negative"):
+        next(bits(-1))
+    with pytest.raises(ValueError, match="non-negative"):
+        bit_list(-6)
+    assert bit_list(0) == [] and bit_list(0b1010) == [1, 3]
+
+
+@given(graph_strategy(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_triangles_lexicographic(g):
+    expect = [
+        (a, b, c)
+        for a in range(g.n) for b in range(a + 1, g.n) for c in range(b + 1, g.n)
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+    ]
+    assert list(triangles(g)) == expect
 
 
 def test_graph_validation():

@@ -75,6 +75,27 @@ def test_chromatic_matches_naive_n7_sample(rng):
         assert chromatic_number(g).chi == naive_chromatic(g)
 
 
+def test_chromatic_with_known_clique_is_exact():
+    # any clique is a valid lower bound: the maximum one, a smaller one or
+    # none at all give the same chi, on every graph with n <= 5
+    for n in range(6):
+        for g in all_graphs(n):
+            res = chromatic_number(g)
+            for clique in {res.clique, res.clique[:1], ()} if n else ():
+                given_clique = chromatic_number(g, clique=clique)
+                assert given_clique.chi == res.chi
+                assert given_clique.clique == clique
+                assert validate_coloring(g, given_clique.coloring)[0]
+
+
+@pytest.mark.parametrize(
+    "clique", [(0, 2), (0, 0), (0, 5)], ids=["non-adjacent", "repeated", "past-n"]
+)
+def test_chromatic_rejects_non_clique(clique):
+    with pytest.raises(ValueError, match="not a clique"):
+        chromatic_number(cycle(5), clique=clique)
+
+
 def test_validate_coloring_examples():
     k2 = complete(2)
     ok, edge = validate_coloring(k2, Coloring((1, 1)))

@@ -5,7 +5,9 @@ from twoomega.patterns import (
     PATTERNS,
     class_membership,
     find_induced,
+    first_present,
     has_induced,
+    host_facts,
     is_class_member,
     iter_induced,
 )
@@ -113,6 +115,33 @@ def test_detector_equivalence_small(rng):
     for g in hosts:
         for p in PATTERNS.values():
             assert has_induced(g, p) == (count_induced(g, p) > 0), p.id
+
+
+def test_rooted_presence_matches_has_induced():
+    # every pattern with a triangle has a rooted plan, and one triangle pass
+    # over the host decides it exactly as the presence search does, on all
+    # 33,868 labeled graphs with n <= 6
+    from twoomega.graphs import least_triangle_in
+
+    rooted = [p for p in PATTERNS.values() if least_triangle_in(p.graph, p.graph.full_mask)]
+    assert len(rooted) == 21
+    for n in range(7):
+        for g in all_graphs(n):
+            facts = host_facts(g)
+            for p in rooted:
+                assert (first_present(g, [p], facts)[0] == 0) == has_induced(g, p, facts), p.id
+
+
+def test_first_present_picks_the_first_pattern_present():
+    # on K2 + K4 the omega = 4 band's first trigger 2k3 is absent and p2uk4
+    # and p2uk3 are present; k1 holds the K2's vertices, the only ones with
+    # a triangle in their non-neighborhood
+    g = union(complete(2), complete(4))
+    band = [PATTERNS[pid] for pid in ("2k3", "p2uk4", "p2uk3", "four_triangle", "gem")]
+    assert first_present(g, band) == (1, 0b11)
+    assert first_present(g, band[2:])[0] == 0
+    assert first_present(g, band[3:]) == (2, 0b11)
+    assert first_present(complete(2), band) == (5, 0)
 
 
 @given(graph_strategy(max_n=7))
