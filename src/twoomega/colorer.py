@@ -678,13 +678,15 @@ def _branch_j8(g, omega, anchor):
 #
 # One band of rows per clique number (<= 1, 2, 3, 4, >= 5), each row being
 # (branch id, trigger pattern, anchor probe, builder).  The first row of
-# the band whose trigger is present fires; the last row of every band
-# always fires.  A row without a probe fires on the least induced copy of
-# its trigger pattern, and the lexicographic search runs only for the row
-# that fires.  In the omega >= 5 band a presence search rules out each
-# trigger in turn.  Every trigger of the omega = 3 and omega = 4 bands
-# contains a triangle, so one pass over the host's triangles decides
-# those bands (``first_present``).
+# the band whose trigger is present fires; the last row of every band has
+# no trigger and fires when no other row does.  A row without a probe
+# fires on the least induced copy of its trigger pattern, and the
+# lexicographic search runs only for the row that fires.  Every trigger
+# pattern contains a triangle, so one pass over the host's triangles
+# decides every band (``first_present``); the bands for omega <= 2 have
+# no trigger.  A probe takes (g, k1), k1 being the vertices with a
+# triangle in their non-neighborhood, and returns None only when omega is
+# not the clique number.
 
 
 def _always(g: Graph, *_) -> tuple[int, ...]:
@@ -724,7 +726,7 @@ _BANDS = (
     (  # omega >= 5
         ("G1", "w5", None, _branch_g1),
         ("G2", "p2uk3", None, _branch_g2),
-        ("G3", None, lambda g: first_edge_in(g, g.full_mask), _branch_g3),
+        ("G3", None, lambda g, k1: first_edge_in(g, g.full_mask), _branch_g3),
     ),
 )
 
@@ -732,25 +734,13 @@ _BANDS = (
 def _fire(g: Graph, omega: int):
     """The choice made by omega's band, with the builder of its row."""
     band = _BANDS[min(max(omega, 1), 5) - 1]
-    if omega in (3, 4):
-        facts = host_facts(g)
-        i, k1 = first_present(g, [PATTERNS[row[1]] for row in band[:-1]], facts)
-        branch_id, pid, probe, build = band[i]
-        anchor = probe(g, k1) if probe else find_induced(g, PATTERNS[pid], facts).map
-        return BranchChoice(branch_id, pid, anchor), build
-    facts = None
-    for branch_id, pid, probe, build in band:
-        if probe is None:
-            pattern = PATTERNS[pid]
-            facts = facts or host_facts(g)
-            if not has_induced(g, pattern, facts):
-                continue
-            anchor = find_induced(g, pattern, facts).map
-        else:
-            anchor = probe(g)
-        if anchor is not None:
-            return BranchChoice(branch_id, pid, anchor), build
-    raise ValueError(f"no branch fired: omega={omega} is not the clique number")
+    facts = host_facts(g)
+    i, k1 = first_present(g, [PATTERNS[row[1]] for row in band[:-1]], facts)
+    branch_id, pid, probe, build = band[i]
+    anchor = probe(g, k1) if probe else find_induced(g, PATTERNS[pid], facts).map
+    if anchor is None:
+        raise ValueError(f"no branch fired: omega={omega} is not the clique number")
+    return BranchChoice(branch_id, pid, anchor), build
 
 
 def find_branch(g: Graph, omega: int | None = None) -> BranchChoice:
@@ -837,8 +827,10 @@ def color_bounded(
 
 def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
     """Independent verifier: re-validates properness, the part partition,
-    per-part budgets, disjoint per-part color ranges, the clique witness
-    and the total against 2*|witness|.  Runs no exact solver and shares no
+    per-part budgets, disjoint per-part color ranges, each part's
+    colors_used (within its budget, its colors in the range that the
+    earlier parts' counts leave it), the clique witness and the total
+    against 2*|witness|.  Runs no exact solver and shares no
     code path with color_bounded's strategy executors."""
     colors = cert.coloring.colors
     if len(colors) != g.n:
@@ -871,6 +863,18 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
         palette |= used_mask
     if seen != g.full_mask:
         return CheckResult(False, "parts do not partition V(G)")
+    base = 1  # each part's colors are base .. base + colors_used - 1
+    for part in cert.trace.parts:
+        used = part.colors_used
+        if not isinstance(used, int):
+            return CheckResult(False, f"part {part.name} has a non-integer colors_used")
+        if not 0 <= used <= part.strategy.budget:
+            return CheckResult(
+                False, f"part {part.name} colors_used {used} outside 0..{part.strategy.budget}"
+            )
+        if any(not base <= colors[v] < base + used for v in bits(part.vertices)):
+            return CheckResult(False, f"part {part.name} has colors outside its colors_used range")
+        base += used
     wit = cert.clique
     if len(wit) != cert.omega:
         return CheckResult(False, f"witness has {len(wit)} vertices, omega is {cert.omega}")

@@ -1,22 +1,25 @@
 """Catalog of small named graphs and induced-subgraph detection.
 
 The catalog is a fixed table of the patterns this package recognizes.
-Detection is exhaustive search over injective maps, pruned by degrees and
-per-level bitmask candidate filtering over per-graph facts (``host_facts``)
-that several searches on one graph can share.  ``find_induced`` and
-``iter_induced`` place pattern vertices in index order, so "first
-embedding" is the lexicographically least image tuple and results are
+Detection is one exhaustive search loop over injective maps, pruned by
+degrees and per-level bitmask candidate filtering over per-graph facts
+(``host_facts``) that several searches on one graph can share.  Each
+search level draws its candidates from one of a few vertex classes of the
+host.  ``find_induced`` places pattern vertices in index order, so its
+embedding is the lexicographically least image tuple and results are
 reproducible.  ``has_induced`` only answers yes or no, so it uses a plan
 compiled once per pattern: most-constrained vertex first, with the
-pattern's automorphisms broken by ordering conditions on the images.
+pattern's automorphisms broken by ordering conditions on the images.  The
+automorphisms are the pattern's induced embeddings into itself, found by
+the same search.
 
 A pattern with a triangle also gets a rooted plan: one of its triangles
 is the root, in each orientation its automorphisms do not identify, and
 every other vertex carries a hit code (the root vertices it is adjacent
 to).  ``first_present`` decides several such patterns in one pass over
 the host's triangles: each triangle's eight hit classes (the vertices
-adjacent to exactly a given subset of it) are computed once, and every
-pattern still pending extends from them.
+adjacent to exactly a given subset of it) are the search's vertex
+classes, computed once, and every pattern still pending extends from them.
 """
 
 from __future__ import annotations
@@ -162,24 +165,16 @@ def host_facts(g: Graph) -> HostFacts:
 
 
 def _levels(p: Graph, order, below) -> tuple:
-    """Search levels placing p's vertices in ``order``: per level, the
-    vertex's degree, the earlier levels it is adjacent and non-adjacent
-    to, and the earlier levels whose image must be smaller than its own."""
+    """Unrooted search levels placing p's vertices in ``order``: per level,
+    class code 0 (the whole host), the vertex's degree, the earlier levels
+    it is adjacent and non-adjacent to, and the earlier levels whose image
+    must be smaller than its own."""
     levels = []
     for i, v in enumerate(order):
         adj_prev = tuple(j for j in range(i) if p.adj[v] >> order[j] & 1)
         non_prev = tuple(j for j in range(i) if not p.adj[v] >> order[j] & 1)
-        levels.append((p.adj[v].bit_count(), adj_prev, non_prev, tuple(below[i])))
+        levels.append((0, p.adj[v].bit_count(), adj_prev, non_prev, tuple(below[i])))
     return tuple(levels)
-
-
-def _automorphisms(p: Graph) -> list[tuple[int, ...]]:
-    adj = p.adj
-    return [
-        a
-        for a in permutations(range(p.n))
-        if all((adj[a[u]] >> a[w] & 1) == (adj[u] >> w & 1) for u in range(p.n) for w in range(u))
-    ]
 
 
 def _presence_levels(p: Graph, group: list, root: tuple[int, ...] = ()) -> tuple:
@@ -225,7 +220,8 @@ def _rooted_plan(p: Graph, group: list) -> tuple | None:
     level per remaining vertex, in presence order: its hit code (bit s set
     when it is adjacent to the root vertex in slot s), its degree, the
     earlier remaining levels it is adjacent and non-adjacent to, and those
-    whose image must be smaller than its own."""
+    whose image must be smaller than its own: the levels of ``_search``,
+    with the hit code as class code."""
     tris = [
         t for t in combinations(range(p.n), 3)
         if all(p.adj[u] >> w & 1 for u, w in combinations(t, 2))
@@ -256,7 +252,7 @@ def _rooted_plan(p: Graph, group: list) -> tuple | None:
                 tuple(j - 3 for j in non_prev if j >= 3),
                 tuple(j - 3 for j in below),
             )
-            for degree, adj_prev, non_prev, below in rest
+            for _, degree, adj_prev, non_prev, below in rest
         )
         plan.append((bitmask(level[0] for level in levels), levels))
     return tuple(plan)
@@ -272,22 +268,25 @@ def _plan(p: Pattern) -> tuple:
     plan = _PLANS.get(key)
     if plan is None:
         g = p.graph
-        group = _automorphisms(g)
-        plan = (
-            _levels(g, range(g.n), [()] * g.n),
-            _presence_levels(g, group),
-            _rooted_plan(g, group),
-        )
+        lex = _levels(g, range(g.n), [()] * g.n)
+        # The automorphisms of g are its induced embeddings into itself.
+        group = list(_search(g, lex, (g.full_mask,), host_facts(g)))
+        plan = (lex, _presence_levels(g, group), _rooted_plan(g, group))
         _PLANS[key] = plan
     return plan
 
 
-def _search(g: Graph, levels: tuple, facts: HostFacts | None):
+def _search(g: Graph, levels: tuple, classes: tuple[int, ...], facts: HostFacts | None):
     """Yield the image tuples (in level order) of every map placing the
     levels' vertices injectively on g with the levels' adjacency,
-    non-adjacency and ordering constraints, least candidate first."""
+    non-adjacency and ordering constraints, least candidate first.  A
+    level with class code ``code`` places its vertex in ``classes[code]``;
+    unrooted levels all have code 0 and take ``(g.full_mask,)``."""
     k = len(levels)
     if k > g.n:
+        return
+    if not k:
+        yield ()
         return
     adj = g.adj
     anti, deg_ge = facts or host_facts(g)
@@ -295,7 +294,7 @@ def _search(g: Graph, levels: tuple, facts: HostFacts | None):
     img = [0] * k
     cand = [0] * k
     used = 0
-    cand[0] = deg_ge[levels[0][0]]
+    cand[0] = classes[levels[0][0]] & deg_ge[levels[0][1]]
     level = 0
     while level >= 0:
         c = cand[level]
@@ -312,8 +311,8 @@ def _search(g: Graph, levels: tuple, facts: HostFacts | None):
             continue
         used |= b
         level += 1
-        degree, adj_prev, non_prev, below = levels[level]
-        m = deg_ge[degree] & ~used
+        code, degree, adj_prev, non_prev, below = levels[level]
+        m = classes[code] & deg_ge[degree] & ~used
         for j in adj_prev:
             m &= adj[img[j]]
         for j in non_prev:
@@ -323,23 +322,18 @@ def _search(g: Graph, levels: tuple, facts: HostFacts | None):
         cand[level] = m
 
 
-def iter_induced(g: Graph, p: Pattern, facts: HostFacts | None = None):
-    """Yield all induced embeddings of p in g, in lexicographic image order."""
-    for img in _search(g, _plan(p)[0], facts):
-        yield PatternEmbedding(p.id, img)
-
-
 def find_induced(
     g: Graph, p: Pattern, facts: HostFacts | None = None
 ) -> PatternEmbedding | None:
     """Least induced embedding of p in g, or None."""
-    return next(iter_induced(g, p, facts), None)
+    img = next(_search(g, _plan(p)[0], (g.full_mask,), facts), None)
+    return None if img is None else PatternEmbedding(p.id, img)
 
 
 def has_induced(g: Graph, p: Pattern, facts: HostFacts | None = None) -> bool:
     """Whether g has an induced copy of p, by the presence plan: the same
     answer as ``find_induced``, usually from far fewer search nodes."""
-    return next(_search(g, _plan(p)[1], facts), None) is not None
+    return next(_search(g, _plan(p)[1], (g.full_mask,), facts), None) is not None
 
 
 # -- triangle-rooted presence ------------------------------------------------
@@ -357,44 +351,6 @@ def _hit_classes(g: Graph, a: int, b: int, c: int) -> tuple[int, ...]:
     return (y0 & ~nc, y1 & ~nc, y2 & ~nc, y3 & ~nc, y0 & nc, y1 & nc, y2 & nc, y3 & nc)
 
 
-def _extends(levels: tuple, classes: tuple[int, ...], adj, facts: HostFacts) -> bool:
-    """Whether the remaining levels of one root orientation place on the
-    host from the hit classes of a host triangle."""
-    anti, deg_ge = facts
-    k = len(levels)
-    if not k:
-        return True
-    img = [0] * k
-    cand = [0] * k
-    used = 0
-    cand[0] = classes[levels[0][0]] & deg_ge[levels[0][1]]
-    level = 0
-    while level >= 0:
-        c = cand[level]
-        if not c:
-            level -= 1
-            if level >= 0:
-                used ^= 1 << img[level]
-            continue
-        if level == k - 1:
-            return True
-        b = c & -c
-        cand[level] = c ^ b
-        img[level] = b.bit_length() - 1
-        used |= b
-        level += 1
-        code, degree, adj_prev, non_prev, below = levels[level]
-        m = classes[code] & deg_ge[degree] & ~used
-        for j in adj_prev:
-            m &= adj[img[j]]
-        for j in non_prev:
-            m &= anti[img[j]]
-        for j in below:
-            m &= -(2 << img[j])
-        cand[level] = m
-    return False
-
-
 def first_present(
     g: Graph, patterns: list[Pattern], facts: HostFacts | None = None
 ) -> tuple[int, int]:
@@ -408,7 +364,6 @@ def first_present(
     of the first one found so far are tried from them."""
     plans = [_plan(p)[2] for p in patterns]
     facts = facts or host_facts(g)
-    adj = g.adj
     best = len(plans)
     k1 = 0
     for a, b, c in triangles(g):
@@ -420,7 +375,7 @@ def first_present(
                 empty |= 1 << code
         for i in range(best):
             for need, levels in plans[i]:
-                if not need & empty and _extends(levels, classes, adj, facts):
+                if not need & empty and next(_search(g, levels, classes, facts), None) is not None:
                     best = i
                     break
             if best == i:

@@ -86,6 +86,17 @@ def verify_embedding(g: Graph, emb: PatternEmbedding) -> bool:
     return True
 
 
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every vertex permutation of g that preserves adjacency, by brute
+    force over all n! permutations, in lexicographic order."""
+    adj = g.adj
+    return [
+        a
+        for a in itertools.permutations(range(g.n))
+        if all((adj[a[u]] >> a[w] & 1) == (adj[u] >> w & 1) for u in range(g.n) for w in range(u))
+    ]
+
+
 def induced_isomorphic(a: Graph, b: Graph) -> bool:
     """Isomorphism test for small graphs by degree-pruned backtracking."""
     if a.n != b.n or a.edge_count != b.edge_count:

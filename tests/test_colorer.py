@@ -92,6 +92,12 @@ def test_find_branch_examples():
     assert find_branch(join(complete(2), cycle(5))).branch_id == "H5"
 
 
+def test_find_branch_rejects_wrong_omega():
+    # no omega >= 5 trigger and no edge for G3's anchor: no row fires
+    with pytest.raises(ValueError, match="no branch fired: omega=5"):
+        find_branch(empty_graph(4), 5)
+
+
 def test_k5_certificate_shape():
     cert = color_bounded(complete(5))
     assert cert.trace.branch_id == "G3"
@@ -218,6 +224,27 @@ def test_check_certificate_rejects_shared_part_colors():
     assert res.failure == "part m_closed_pair reuses a color of an earlier part"
 
 
+@pytest.mark.parametrize("colors_used,failure", [
+    (9, "part all colors_used 9 outside 0..6"),
+    (-1, "part all colors_used -1 outside 0..6"),
+    (0, "part all has colors outside its colors_used range"),
+    (5, "part all has colors outside its colors_used range"),
+], ids=["over-budget", "negative", "zero", "too-few"])
+def test_check_certificate_rejects_tampered_colors_used(colors_used, failure):
+    from dataclasses import replace
+    from twoomega.witnesses import schlafli_complement
+
+    g = schlafli_complement()
+    cert = color_bounded(g)
+    (part,) = cert.trace.parts
+    assert (part.name, part.colors_used, part.strategy.budget) == ("all", 6, 6)
+    assert check_certificate(g, cert)
+    parts = (replace(part, colors_used=colors_used),)
+    res = check_certificate(g, replace(cert, trace=replace(cert.trace, parts=parts)))
+    assert not res
+    assert res.failure == failure
+
+
 @pytest.mark.parametrize("mask_of", [lambda m: m | 1 << 7, lambda m: -1], ids=["bit7", "minus1"])
 def test_check_certificate_rejects_part_outside_graph(mask_of):
     from dataclasses import replace
@@ -253,18 +280,22 @@ def test_check_certificate_rejects_tampered_witness(clique, failure):
 @pytest.mark.parametrize("field,failure", [
     ("clique", "witness has a non-integer vertex"),
     ("mask", "part all has a non-integer vertex mask"),
-], ids=["float-witness", "float-mask"])
+    ("colors_used", "part all has a non-integer colors_used"),
+], ids=["float-witness", "float-mask", "float-colors-used"])
 def test_check_certificate_rejects_non_integers(field, failure):
     from dataclasses import replace
 
     g = complete(3)
     cert = color_bounded(g)
     assert check_certificate(g, cert)
+    (part,) = cert.trace.parts
     if field == "clique":
         cert = replace(cert, clique=(0, 1, 2.0))
+    elif field == "mask":
+        part = replace(part, vertices=float(part.vertices))
     else:
-        part = replace(cert.trace.parts[0], vertices=float(cert.trace.parts[0].vertices))
-        cert = replace(cert, trace=replace(cert.trace, parts=(part,)))
+        part = replace(part, colors_used=float(part.colors_used))
+    cert = replace(cert, trace=replace(cert.trace, parts=(part,)))
     res = check_certificate(g, cert)
     assert not res
     assert res.failure == failure
@@ -431,8 +462,11 @@ def n7_members(count: int, seed: int = 606):
 
 def test_find_branch_matches_ungated_reference():
     # n = 6 members are outside the golden corpus; structured members reach
-    # the omega >= 5 band, BRANCH_SUITE holds the only H4 trigger, and the
-    # n = 7 sample gives the triangle pass hosts with many triangles
+    # the omega >= 5 band, BRANCH_SUITE holds the only H4 trigger, the n = 7
+    # sample gives the triangle pass hosts with many triangles, and dense
+    # members with n = 8..13 give the omega >= 5 band hosts with many
+    # triangles
+    from twoomega.cli import sample_class
     from twoomega.oracles import clique_number
     from twoomega.patterns import is_class_member
 
@@ -442,6 +476,8 @@ def test_find_branch_matches_ungated_reference():
     graphs += (g for g in all_graphs(6) if is_class_member(g))
     graphs += structured_members()
     graphs += n7_members(3000)
+    for n in range(8, 14):
+        graphs += sample_class(n, 0.9, 10, seed=n)[0]
     branches = set()
     for g in graphs:
         omega, _ = clique_number(g)

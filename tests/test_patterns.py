@@ -1,19 +1,24 @@
+from itertools import permutations
+
 from hypothesis import given, settings
 
 from twoomega.graphs import Graph, complete, cycle, induced, path, union
 from twoomega.patterns import (
     PATTERNS,
+    PatternEmbedding,
+    _plan,
+    _search,
     class_membership,
     find_induced,
     first_present,
     has_induced,
     host_facts,
     is_class_member,
-    iter_induced,
 )
 
 from conftest import (
     all_graphs,
+    automorphisms,
     count_induced,
     graph_strategy,
     induced_isomorphic,
@@ -80,11 +85,28 @@ def test_embeddings_are_induced_isomorphisms(rng):
                 assert verify_embedding(g, emb)
 
 
-def test_iter_induced_lexicographic(rng):
-    g = rand_graph(rng, 7, 0.5)
-    for pid in ("p3", "k3", "p4"):
-        maps = [e.map for e in iter_induced(g, PATTERNS[pid])]
-        assert maps == sorted(maps)
+def test_find_induced_is_least_injective_map(rng):
+    # the least of all injective maps that are induced embeddings, found by
+    # brute force, for every catalog pattern on random hosts
+    for n in (5, 6, 7):
+        g = rand_graph(rng, n, 0.5)
+        for p in PATTERNS.values():
+            least = min(
+                (m for m in permutations(range(g.n), p.order)
+                 if verify_embedding(g, PatternEmbedding(p.id, m))),
+                default=None,
+            )
+            emb = find_induced(g, p)
+            assert (None if emb is None else emb.map) == least, p.id
+
+
+def test_automorphisms_come_from_self_embeddings():
+    # the group the presence and rooted plans break symmetry under is the
+    # set of the pattern's induced embeddings into itself
+    for p in PATTERNS.values():
+        g = p.graph
+        group = list(_search(g, _plan(p)[0], (g.full_mask,), host_facts(g)))
+        assert group == automorphisms(g), p.id
 
 
 def test_class_membership_examples():
