@@ -1,11 +1,12 @@
 """Command-line front end and corpus engine.
 
 Subcommands: ``check`` (class membership report), ``color`` (coloring
-certificate), ``oracle`` (exact omega and chi), ``witness`` (built-in
-tightness witnesses), ``scan`` (exhaustive small-n verification) and
-``sample`` (seeded rejection sampling of class members).  Data goes to
-stdout, diagnostics to stderr; exit code 0 on success, 1 when a violation
-or out-of-class input is found, 2 on usage or parse errors.
+certificate), ``oracle`` (exact omega and chi), ``witness`` (a built-in
+tightness witness, its report recomputed), ``scan`` (exhaustive small-n
+verification) and ``sample`` (seeded rejection sampling of class members).
+Data goes to stdout, diagnostics to stderr; exit code 0 on success, 1 when
+a violation, out-of-class input or witness mismatch is found, 2 on usage
+or parse errors.
 
 The random generator is splitmix64 over the seed; a graph on n vertices
 consumes one 64-bit word per vertex pair in lexicographic order (0,1),
@@ -21,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .colorer import (
     ColorerError,
@@ -324,10 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="exact omega and chi per input graph")
     p_oracle.add_argument("input", help="graph6 file, or - for stdin")
 
-    p_wit = sub.add_parser("witness", help="emit a built-in tightness witness")
+    p_wit = sub.add_parser("witness", help="emit a tightness witness and its recomputed report")
     p_wit.add_argument("name", choices=sorted(WITNESS_BUILDERS))
-    p_wit.add_argument("--verify", action="store_true",
-                       help="recompute the report instead of using pinned values")
 
     p_scan = sub.add_parser("scan", help="exhaustive verification over all labeled graphs")
     source = p_scan.add_mutually_exclusive_group(required=True)
@@ -410,25 +409,12 @@ def _dispatch(args) -> int:
 
     if args.mode == "witness":
         g = WITNESS_BUILDERS[args.name]()
-        expected = EXPECTED_REPORTS[args.name]
-        if args.verify:
-            report, mismatches = verify_witness(g, expected)
-            if mismatches:
-                print(f"witness mismatch on fields: {mismatches}", file=sys.stderr)
-                return 1
-        else:
-            report = expected
+        report, mismatches = verify_witness(g, EXPECTED_REPORTS[args.name])
+        if mismatches:
+            print(f"witness mismatch on fields: {mismatches}", file=sys.stderr)
+            return 1
         out.write(graph6_encode(g) + "\n")
-        obj = {
-            "name": report.name,
-            "n": report.n,
-            "m": report.m,
-            "class_member": report.class_member,
-            "omega": report.omega,
-            "chi": report.chi,
-            "bound_tight": report.bound_tight,
-        }
-        out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        out.write(json.dumps(asdict(report), separators=(",", ":")) + "\n")
         return 0
 
     if args.mode == "scan":

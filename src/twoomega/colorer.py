@@ -123,7 +123,6 @@ class ColoringCertificate:
 @dataclass(frozen=True)
 class BranchChoice:
     branch_id: str
-    pattern_id: str | None
     anchor: tuple[int, ...]
 
 
@@ -740,17 +739,25 @@ def _fire(g: Graph, omega: int):
     anchor = probe(g, k1) if probe else find_induced(g, PATTERNS[pid], facts).map
     if anchor is None:
         raise ValueError(f"no branch fired: omega={omega} is not the clique number")
-    return BranchChoice(branch_id, pid, anchor), build
+    return BranchChoice(branch_id, anchor), build
 
 
 def find_branch(g: Graph, omega: int | None = None) -> BranchChoice:
     """Deterministic dispatch to the proof branch that will color g.
 
     Assumes g is (p3up2, w4)-free; use ``color_bounded(strict=True)`` to
-    have that checked.  Every graph matches some branch.
+    have that checked.  Every graph matches some branch.  A given omega is
+    checked only against whether g has a triangle, an edge or a vertex
+    (ValueError on a mismatch), so omega 3, 4 and >= 5 are not told apart
+    on a graph with a triangle.
     """
     if omega is None:
         omega, _ = clique_number(g)
+    else:
+        full = g.full_mask
+        seen = 3 if least_triangle_in(g, full) else 2 if first_edge_in(g, full) else min(g.n, 1)
+        if min(omega, 3) != seen:
+            raise ValueError(f"no branch fired: omega={omega} is not the clique number")
     return _fire(g, omega)[0]
 
 

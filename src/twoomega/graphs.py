@@ -10,7 +10,7 @@ indices referenced by certificates stay valid forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GraphParseError(ValueError):
@@ -52,7 +52,6 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -119,15 +118,14 @@ class Graph:
             m |= self.adj[v]
         return m & ~x
 
-    def non_neighborhood(self, x: int, closed: bool = False) -> int:
-        """M(X) = V minus X and N(X); with ``closed``, M[X] = M(X) union X."""
-        m = self.full_mask & ~(x | self.neighborhood_of_set(x))
-        return m | x if closed else m
+    def non_neighborhood(self, x: int) -> int:
+        """M(X) = V minus X and N(X)."""
+        return self.full_mask & ~(x | self.neighborhood_of_set(x))
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_edges(n: int, edges, name: str = "") -> "Graph":
+    def from_edges(n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -136,36 +134,35 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return Graph(n, tuple(rows), name)
+        return Graph(n, tuple(rows))
 
 
-def _graph_nocheck(n: int, rows: tuple[int, ...], name: str = "") -> Graph:
+def _graph_nocheck(n: int, rows: tuple[int, ...]) -> Graph:
     # Hot-path constructor for callers that guarantee well-formed rows.
     g = object.__new__(Graph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "adj", rows)
-    object.__setattr__(g, "name", name)
     return g
 
 
-def empty_graph(n: int, name: str = "") -> Graph:
-    return Graph(n, (0,) * n, name)
+def empty_graph(n: int) -> Graph:
+    return Graph(n, (0,) * n)
 
 
-def complete(n: int, name: str = "") -> Graph:
+def complete(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ 1 << v for v in range(n)), name or f"K{n}")
+    return Graph(n, tuple(full ^ 1 << v for v in range(n)))
 
 
-def path(n: int, name: str = "") -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], name or f"P{n}")
+def path(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def cycle(n: int, name: str = "") -> Graph:
+def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph.from_edges(n, edges, name or f"C{n}")
+    return Graph.from_edges(n, edges)
 
 
 # -- constructions -------------------------------------------------------

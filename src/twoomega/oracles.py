@@ -61,10 +61,8 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     if n == 0:
         return 0, ()
     adj = g.adj
-    # Seed with the highest-degree vertex; the greedy coloring bound in
-    # color_bound does the real pruning work.
-    seed = min(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    best_set = 1 << seed
+    # Vertex 0 seeds the best clique; expand replaces it with the first edge it finds.
+    best_set = 1
     best = 1
 
     def color_bound(cand: int) -> list[tuple[int, int]]:

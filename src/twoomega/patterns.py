@@ -25,6 +25,7 @@ classes, computed once, and every pattern still pending extends from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from typing import NamedTuple
 
@@ -258,22 +259,15 @@ def _rooted_plan(p: Graph, group: list) -> tuple | None:
     return tuple(plan)
 
 
-_PLANS: dict[tuple, tuple] = {}
-
-
+@cache
 def _plan(p: Pattern) -> tuple:
     """(lexicographic levels, presence levels, rooted plan), compiled once
     per pattern."""
-    key = (p.id, p.graph.adj)
-    plan = _PLANS.get(key)
-    if plan is None:
-        g = p.graph
-        lex = _levels(g, range(g.n), [()] * g.n)
-        # The automorphisms of g are its induced embeddings into itself.
-        group = list(_search(g, lex, (g.full_mask,), host_facts(g)))
-        plan = (lex, _presence_levels(g, group), _rooted_plan(g, group))
-        _PLANS[key] = plan
-    return plan
+    g = p.graph
+    lex = _levels(g, range(g.n), [()] * g.n)
+    # The automorphisms of g are its induced embeddings into itself.
+    group = list(_search(g, lex, (g.full_mask,), host_facts(g)))
+    return lex, _presence_levels(g, group), _rooted_plan(g, group)
 
 
 def _search(g: Graph, levels: tuple, classes: tuple[int, ...], facts: HostFacts | None):
@@ -436,11 +430,12 @@ def is_class_member(g: Graph) -> bool:
 
 
 def class_membership(g: Graph) -> ClassReport:
-    """Check (p3up2, w4)-freeness, with least violating embeddings on failure."""
-    facts = host_facts(g)
-    violations = []
-    for pid in ("p3up2", "w4"):
-        emb = find_induced(g, PATTERNS[pid], facts)
-        if emb is not None:
-            violations.append(emb)
+    """Check (p3up2, w4)-freeness, with least violating embeddings on
+    failure.  The fast detectors decide; the lexicographic search runs
+    only for a pattern they found."""
+    violations = [
+        find_induced(g, PATTERNS[pid])
+        for pid, present in (("p3up2", _has_p3up2), ("w4", _has_w4))
+        if present(g)
+    ]
     return ClassReport(member=not violations, violations=tuple(violations))

@@ -38,14 +38,13 @@ def mycielskian(g: Graph) -> Graph:
             edges.append((n + v, w))
     apex = 2 * n
     edges.extend((apex, n + v) for v in range(n))
-    return Graph.from_edges(2 * n + 1, edges, name=f"mycielskian({g.name or g.n})")
+    return Graph.from_edges(2 * n + 1, edges)
 
 
 def groetzsch() -> Graph:
     """Mycielskian of the 5-cycle with the fixed labeling: cycle 0..4,
     shadows 5..9, apex 10."""
-    g = mycielskian(cycle(5))
-    return Graph(g.n, g.adj, name="groetzsch")
+    return mycielskian(cycle(5))
 
 
 def schlafli_complement() -> Graph:
@@ -72,7 +71,7 @@ def schlafli_complement() -> Graph:
             if idx < jdx and not {p, q} & {r, s}:
                 edges.append((idx, jdx))
     dedup = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    return Graph.from_edges(27, dedup, name="schlafli_complement")
+    return Graph.from_edges(27, dedup)
 
 
 WITNESS_BUILDERS = {
@@ -86,14 +85,10 @@ EXPECTED_REPORTS = {
 }
 
 
-def verify_witness(
-    g: Graph, expected: WitnessReport, time_budget: float | None = None
-) -> tuple[WitnessReport, tuple[str, ...]]:
+def verify_witness(g: Graph, expected: WitnessReport) -> tuple[WitnessReport, tuple[str, ...]]:
     """Recompute every report field from scratch; return the recomputed
     report and the names of any fields that disagree with ``expected``."""
-    res = chromatic_number(g, time_budget)
-    if res.timed_out:
-        raise TimeoutError(f"chromatic oracle timed out on {g.name or 'graph'}")
+    res = chromatic_number(g)
     report = WitnessReport(
         name=expected.name,
         n=g.n,

@@ -19,7 +19,7 @@ def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, outer + spokes + inner, name="petersen")
+    return Graph.from_edges(10, outer + spokes + inner)
 
 
 def all_graphs(n: int):
@@ -193,7 +193,7 @@ def reference_branch(g: Graph, omega: int):
             emb = find_induced(g, PATTERNS[pid])
             anchor = None if emb is None else emb.map
         if anchor is not None:
-            return BranchChoice(branch_id, pid, anchor)
+            return BranchChoice(branch_id, anchor)
     raise AssertionError(f"no branch fired for omega={omega}")
 
 

@@ -60,6 +60,20 @@ def test_witness_subcommand(capsys, monkeypatch):
     }
 
 
+def test_witness_recomputes_its_report(capsys, monkeypatch):
+    # a pinned report that the recomputation contradicts: exit 1, no data
+    from dataclasses import replace
+
+    from twoomega.witnesses import EXPECTED_REPORTS
+
+    wrong = replace(EXPECTED_REPORTS["groetzsch"], chi=5)
+    monkeypatch.setitem(EXPECTED_REPORTS, "groetzsch", wrong)
+    code, out, err = run_cli(capsys, "witness", "groetzsch", monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "witness mismatch on fields: ('chi',)\n"
+    assert run_cli(capsys, "witness", "groetzsch", "--verify")[0] == 2
+
+
 def test_color_k5_stdin(capsys, monkeypatch):
     code, out, err = run_cli(
         capsys, "color", "-", stdin=graph6_encode(complete(5)) + "\n",
@@ -95,8 +109,7 @@ def test_check_nonmember_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check", "-", stdin="Fhc?G\n",
                              monkeypatch=monkeypatch)
     report = json.loads(out.strip().split("\n")[0])
-    if report["member"]:
-        pytest.skip("fixture line decoded to a member; fix fixture")
+    assert report["member"] is False
     assert code == 1
     assert report["violations"][0]["pattern"] == "p3up2"
 
@@ -189,6 +202,25 @@ def test_scan_n5_output_digest(capsys, monkeypatch, fmt):
                              monkeypatch=monkeypatch)
     assert code == 0
     assert scan_digest(out, fmt) == N5_SCAN_DIGESTS[fmt]
+
+
+def test_assert_proofs_flags(capsys, monkeypatch):
+    # scan: the proofs change no record; color: the certificates record them
+    from twoomega.colorer import certificate_to_json, color_bounded
+
+    from test_colorer import BRANCH_SUITE
+
+    code, out, err = run_cli(capsys, "scan", "--n", "5", "--oracle", "--assert-proofs")
+    assert code == 0
+    assert scan_digest(out, "json") == N5_SCAN_DIGESTS["json"]
+    graphs = [make() for _, make, _ in BRANCH_SUITE]
+    code, out, err = run_cli(capsys, "color", "--assert-proofs", "-",
+                             stdin="".join(graph6_encode(g) + "\n" for g in graphs),
+                             monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.splitlines() == [
+        certificate_to_json(color_bounded(g, assert_proofs=True)) for g in graphs
+    ]
 
 
 def test_scan_summary_counts_as_consumed():

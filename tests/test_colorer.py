@@ -98,6 +98,17 @@ def test_find_branch_rejects_wrong_omega():
         find_branch(empty_graph(4), 5)
 
 
+@pytest.mark.parametrize(
+    "g, omega",
+    [(empty_graph(4), 3), (empty_graph(4), 4), (complete(3), 1), (complete(5), 2), (cycle(5), 5)],
+    ids=["E4-3", "E4-4", "K3-1", "K5-2", "C5-5"],
+)
+def test_find_branch_rejects_omega_the_graph_contradicts(g, omega):
+    # a triangle, an edge or a vertex that omega's band cannot have
+    with pytest.raises(ValueError, match=f"no branch fired: omega={omega} is not"):
+        find_branch(g, omega)
+
+
 def test_k5_certificate_shape():
     cert = color_bounded(complete(5))
     assert cert.trace.branch_id == "G3"

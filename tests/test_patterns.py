@@ -5,7 +5,10 @@ from hypothesis import given, settings
 from twoomega.graphs import Graph, complete, cycle, induced, path, union
 from twoomega.patterns import (
     PATTERNS,
+    ClassReport,
     PatternEmbedding,
+    _has_p3up2,
+    _has_w4,
     _plan,
     _search,
     class_membership,
@@ -121,10 +124,28 @@ def test_class_membership_examples():
     assert verify_embedding(bad, report.violations[0])
 
 
+def _membership_hosts(rng):
+    hosts = [rand_graph(rng, rng.randrange(0, 9), rng.choice([0.2, 0.5, 0.8]))
+             for _ in range(400)]
+    return hosts + [g for n in range(7) for g in all_graphs(n)]
+
+
 def test_fast_member_agrees_with_reports(rng):
-    for _ in range(400):
-        g = rand_graph(rng, rng.randrange(0, 9), rng.choice([0.2, 0.5, 0.8]))
-        assert is_class_member(g) == class_membership(g).member
+    # the fast detectors, which decide class_membership too, against the
+    # generic presence search, on random graphs and every graph with n <= 6
+    p3up2, w4 = PATTERNS["p3up2"], PATTERNS["w4"]
+    for g in _membership_hosts(rng):
+        p, w = has_induced(g, p3up2), has_induced(g, w4)
+        assert (_has_p3up2(g), _has_w4(g)) == (p, w)
+        assert is_class_member(g) == (not p and not w)
+
+
+def test_class_membership_reports_least_embeddings(rng):
+    # violations: the least embedding of each pattern present, p3up2 first
+    for g in _membership_hosts(rng):
+        embs = [find_induced(g, PATTERNS[pid]) for pid in ("p3up2", "w4")]
+        expected = tuple(e for e in embs if e is not None)
+        assert class_membership(g) == ClassReport(not expected, expected)
 
 
 def test_detector_equivalence_small(rng):
