@@ -35,7 +35,6 @@ from .oracles import (
     Coloring,
     chromatic_number,
     clique_number,
-    validate_coloring,
 )
 from .colorer import (
     BranchChoice,

@@ -175,9 +175,7 @@ def _process_member(g: Graph, cfg: RunConfig) -> CorpusRecord:
         used = cert.coloring.palette_size
         omega = cert.omega
         branch = cert.trace.branch_id
-        ok = ok and used <= 2 * omega
     except ColorerError:
-        cert = None
         ok = False
         used = 0
         branch = "error"
@@ -359,6 +357,9 @@ def cli_main(argv=None) -> int:
         return 2
     except (ValueError, SampleGiveUp, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # the exact solvers recurse once per vertex they place
+        print("error: graph too large for the exact solvers' recursion", file=sys.stderr)
         return 2
 
 

@@ -31,7 +31,7 @@ from .graphs import (
     induced,
     least_triangle_in,
 )
-from .oracles import Coloring, chromatic_number, clique_number, two_coloring, validate_coloring
+from .oracles import Coloring, chromatic_number, clique_number, two_coloring
 from .patterns import (
     PATTERNS,
     class_membership,
@@ -775,7 +775,8 @@ def color_bounded(
     With ``strict``, class membership is checked first (NotInClass on
     failure).  With ``assert_proofs``, every structural claim the fired
     branch relies on is re-verified and recorded.  Identical inputs give
-    byte-identical certificates.
+    byte-identical certificates.  Callers check the certificate with
+    ``check_certificate``, as the ``color`` and ``scan`` subcommands do.
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     class_checked = False
@@ -824,25 +825,22 @@ def color_bounded(
     palette = coloring.palette_size
     if palette > 2 * omega:
         raise BudgetViolation("total", 2 * omega, palette)
-    ok, edge = validate_coloring(g, coloring) if g.n else (True, None)
-    if not ok:
-        raise StrategyPreconditionFailed("proper-coloring", f"edge {edge} monochromatic")
 
     trace = BranchTrace(choice.branch_id, choice.anchor, tuple(parts_out), tuple(ran))
     return ColoringCertificate(coloring, omega, clique, 2 * omega, trace, class_checked)
 
 
 def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
-    """Independent verifier: re-validates properness, the part partition,
-    per-part budgets, disjoint per-part color ranges, each part's
-    colors_used (within its budget, its colors in the range that the
-    earlier parts' counts leave it), the clique witness and the total
-    against 2*|witness|.  Runs no exact solver and shares no
-    code path with color_bounded's strategy executors."""
+    """The package's one coloring verifier: re-validates properness, the
+    part partition, per-part budgets, disjoint per-part color ranges, each
+    part's colors_used (within its budget, its colors in the range that
+    the earlier parts' counts leave it), the clique witness and the total
+    against 2*|witness|.  Runs no exact solver and shares no code path
+    with color_bounded's strategy executors.  A bool is not an int here."""
     colors = cert.coloring.colors
     if len(colors) != g.n:
         return CheckResult(False, "coloring length mismatch")
-    if any(not isinstance(c, int) or c < 1 for c in colors):
+    if any(type(c) is not int or c < 1 for c in colors):
         return CheckResult(False, "invalid color value")
     for u in range(g.n):
         row = g.adj[u]
@@ -852,7 +850,7 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
     seen = 0
     palette = 0  # colors used by the parts checked so far, as a mask
     for part in cert.trace.parts:
-        if not isinstance(part.vertices, int):
+        if type(part.vertices) is not int:
             return CheckResult(False, f"part {part.name} has a non-integer vertex mask")
         if part.vertices & ~g.full_mask:  # also catches negative masks
             return CheckResult(False, f"part {part.name} has vertices outside the graph")
@@ -873,7 +871,7 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
     base = 1  # each part's colors are base .. base + colors_used - 1
     for part in cert.trace.parts:
         used = part.colors_used
-        if not isinstance(used, int):
+        if type(used) is not int:
             return CheckResult(False, f"part {part.name} has a non-integer colors_used")
         if not 0 <= used <= part.strategy.budget:
             return CheckResult(
@@ -885,7 +883,7 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
     wit = cert.clique
     if len(wit) != cert.omega:
         return CheckResult(False, f"witness has {len(wit)} vertices, omega is {cert.omega}")
-    if any(not isinstance(v, int) for v in wit):
+    if any(type(v) is not int for v in wit):
         return CheckResult(False, "witness has a non-integer vertex")
     if any(not 0 <= v < g.n for v in wit):
         return CheckResult(False, "witness has vertices outside the graph")

@@ -223,25 +223,20 @@ def first_edge_in(g: Graph, mask: int) -> tuple[int, int] | None:
     return None
 
 
-def least_triangle_in(g: Graph, mask: int) -> tuple[int, int, int] | None:
-    """Lexicographically least triangle (a, b, c), a < b < c, of G[mask]."""
-    for a in bits(mask):
-        na = g.adj[a] & mask & ~((2 << a) - 1)
-        for b in bits(na):
-            nc = na & g.adj[b] & ~((2 << b) - 1)
-            if nc:
-                return a, b, (nc & -nc).bit_length() - 1
-    return None
-
-
-def triangles(g: Graph):
-    """Yield the triangles (a, b, c), a < b < c, of g in lexicographic order."""
+def triangles(g: Graph, mask: int):
+    """Yield the triangles (a, b, c), a < b < c, of G[mask] in
+    lexicographic order."""
     adj = g.adj
-    for a in range(g.n):
-        na = adj[a] & ~((2 << a) - 1)
+    for a in bits(mask):
+        na = adj[a] & mask & ~((2 << a) - 1)
         for b in bits(na):
             for c in bits(na & adj[b] & ~((2 << b) - 1)):
                 yield a, b, c
+
+
+def least_triangle_in(g: Graph, mask: int) -> tuple[int, int, int] | None:
+    """Lexicographically least triangle (a, b, c), a < b < c, of G[mask]."""
+    return next(triangles(g, mask), None)
 
 
 def clique_components(g: Graph, mask: int) -> list[int] | None:

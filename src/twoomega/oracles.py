@@ -1,6 +1,5 @@
-"""Exact ground-truth computations: clique number, chromatic number,
-coloring validation, and the 2-coloring witness the colorer's bipartite
-parts rely on.
+"""Exact ground-truth computations: clique number, chromatic number, and
+the 2-coloring witness the colorer's bipartite parts rely on.
 
 The clique solver is branch-and-bound with a greedy-coloring upper bound
 for pruning.  The chromatic solver runs a saturation-driven (first-fail)
@@ -37,19 +36,6 @@ class ChromaticResult:
     coloring: Coloring | None
     timed_out: bool
     clique: tuple[int, ...]  # the clique pre-colored: maximum unless passed in; () when n == 0
-
-
-def validate_coloring(g: Graph, c: Coloring) -> tuple[bool, tuple[int, int] | None]:
-    """True iff proper; otherwise False with the first monochromatic edge."""
-    if len(c.colors) != g.n:
-        raise ValueError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
-    for v, col in enumerate(c.colors):
-        if not isinstance(col, int) or col < 1:
-            raise ValueError(f"vertex {v} has invalid color {col!r}")
-    for u, v in g.edges():
-        if c.colors[u] == c.colors[v]:
-            return False, (u, v)
-    return True, None
 
 
 # -- maximum clique ---------------------------------------------------------

@@ -360,7 +360,7 @@ def first_present(
     facts = facts or host_facts(g)
     best = len(plans)
     k1 = 0
-    for a, b, c in triangles(g):
+    for a, b, c in triangles(g, g.full_mask):
         classes = _hit_classes(g, a, b, c)
         k1 |= classes[0]
         empty = 0  # the hit codes whose class is empty

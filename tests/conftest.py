@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from twoomega.graphs import Graph, bits, induced
+from twoomega.oracles import Coloring
 from twoomega.patterns import PATTERNS, Pattern, PatternEmbedding
 
 
@@ -61,6 +62,20 @@ def naive_chromatic(g: Graph) -> int:
         if naive_k_colorable(g, k):
             return k
     raise AssertionError("unreachable: n colors always suffice")
+
+
+def validate_coloring(g: Graph, c: Coloring) -> tuple[bool, tuple[int, int] | None]:
+    """True iff proper; otherwise False with the first monochromatic edge.
+    The tests' properness reference, separate from ``check_certificate``."""
+    if len(c.colors) != g.n:
+        raise ValueError(f"coloring covers {len(c.colors)} vertices, graph has {g.n}")
+    for v, col in enumerate(c.colors):
+        if not isinstance(col, int) or col < 1:
+            raise ValueError(f"vertex {v} has invalid color {col!r}")
+    for u, v in g.edges():
+        if c.colors[u] == c.colors[v]:
+            return False, (u, v)
+    return True, None
 
 
 def naive_clique_number(g: Graph) -> int:

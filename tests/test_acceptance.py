@@ -16,7 +16,6 @@ from twoomega.graphs import complete, union
 from twoomega.oracles import (
     chromatic_number,
     clique_number,
-    validate_coloring,
 )
 from twoomega.oracles import _k_colorable  # white-box: direct infeasibility probe
 from twoomega.patterns import PATTERNS, class_membership, has_induced
@@ -27,7 +26,7 @@ from twoomega.witnesses import (
     verify_witness,
 )
 
-from conftest import all_graphs, count_induced, naive_chromatic, rand_graph
+from conftest import all_graphs, count_induced, naive_chromatic, rand_graph, validate_coloring
 from test_colorer import BRANCH_SUITE
 
 N7_GRAPHS = 1 << 21

@@ -15,7 +15,7 @@ from twoomega.cli import (
     sample_class,
     scan_exhaustive,
 )
-from twoomega.graphs import graph6_decode, graph6_encode, complete
+from twoomega.graphs import graph6_decode, graph6_encode, complete, cycle
 from twoomega.patterns import is_class_member
 
 N5_MEMBERS = 979  # pinned after the first exhaustive run
@@ -142,6 +142,18 @@ def test_malformed_graph6_exit_two(capsys, monkeypatch):
                              monkeypatch=monkeypatch)
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("mode", ["oracle", "color"])
+def test_solver_recursion_limit_exit_two(tmp_path, capsys, mode):
+    # the exact solvers recurse once per vertex; a long cycle overflows the
+    # interpreter's recursion limit, which must end in a diagnostic
+    p = tmp_path / "cycle.g6"
+    p.write_text(graph6_encode(cycle(1201)) + "\n")
+    code, out, err = run_cli(capsys, mode, str(p))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_scan_n4_all_members(capsys, monkeypatch):

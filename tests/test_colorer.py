@@ -23,11 +23,11 @@ from twoomega.graphs import (
     path,
     union,
 )
-from twoomega.oracles import chromatic_number, validate_coloring
+from twoomega.oracles import chromatic_number
 from twoomega.patterns import PATTERNS, class_membership
 from twoomega.witnesses import groetzsch
 
-from conftest import all_graphs, rand_graph
+from conftest import all_graphs, rand_graph, validate_coloring
 
 
 def h3_host() -> Graph:
@@ -288,24 +288,32 @@ def test_check_certificate_rejects_tampered_witness(clique, failure):
     assert res.failure == failure
 
 
-@pytest.mark.parametrize("field,failure", [
-    ("clique", "witness has a non-integer vertex"),
-    ("mask", "part all has a non-integer vertex mask"),
-    ("colors_used", "part all has a non-integer colors_used"),
-], ids=["float-witness", "float-mask", "float-colors-used"])
-def test_check_certificate_rejects_non_integers(field, failure):
+@pytest.mark.parametrize("field,value,failure", [
+    ("clique", (0, 1, 2.0), "witness has a non-integer vertex"),
+    ("mask", float, "part all has a non-integer vertex mask"),
+    ("colors_used", float, "part all has a non-integer colors_used"),
+    # JSON true parses to True, an int subclass equal to 1
+    ("colors", (True, 2, 3), "invalid color value"),
+    ("clique", (0, True, 2), "witness has a non-integer vertex"),
+    ("mask", bool, "part all has a non-integer vertex mask"),
+    ("colors_used", bool, "part all has a non-integer colors_used"),
+], ids=["float-witness", "float-mask", "float-colors-used",
+        "bool-color", "bool-witness", "bool-mask", "bool-colors-used"])
+def test_check_certificate_rejects_non_integers(field, value, failure):
     from dataclasses import replace
 
     g = complete(3)
     cert = color_bounded(g)
     assert check_certificate(g, cert)
     (part,) = cert.trace.parts
-    if field == "clique":
-        cert = replace(cert, clique=(0, 1, 2.0))
+    if field == "colors":
+        cert = replace(cert, coloring=replace(cert.coloring, colors=value))
+    elif field == "clique":
+        cert = replace(cert, clique=value)
     elif field == "mask":
-        part = replace(part, vertices=float(part.vertices))
+        part = replace(part, vertices=value(part.vertices))
     else:
-        part = replace(part, colors_used=float(part.colors_used))
+        part = replace(part, colors_used=value(part.colors_used))
     cert = replace(cert, trace=replace(cert.trace, parts=(part,)))
     res = check_certificate(g, cert)
     assert not res

@@ -158,7 +158,7 @@ def test_triangles_lexicographic(g):
         for a in range(g.n) for b in range(a + 1, g.n) for c in range(b + 1, g.n)
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
     ]
-    assert list(triangles(g)) == expect
+    assert list(triangles(g, g.full_mask)) == expect
 
 
 def test_graph_validation():

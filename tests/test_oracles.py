@@ -10,7 +10,6 @@ from twoomega.oracles import (
     clique_number,
     greedy_coloring,
     two_coloring,
-    validate_coloring,
 )
 from twoomega.witnesses import groetzsch, mycielskian, schlafli_complement
 
@@ -21,6 +20,7 @@ from conftest import (
     naive_clique_number,
     petersen,
     rand_graph,
+    validate_coloring,
 )
 
 

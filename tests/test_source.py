@@ -2,12 +2,14 @@
 (the test environment has no linter)."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "twoomega"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +34,26 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level names of the absolute imports, at any depth, that are not
+    standard-library modules; relative imports stay inside the package."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return [name for name in names if name not in sys.stdlib_module_names]
+
+
+def test_non_stdlib_imports_detected():
+    source = "import os.path\nfrom . import x\ndef f():\n    import numpy as np\n    from hypothesis import given\n"
+    assert non_stdlib_imports(source) == ["numpy", "hypothesis"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_imports_only_stdlib(path):
+    # pyproject.toml declares no runtime dependencies
+    assert non_stdlib_imports(path.read_text()) == []
