@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .graphs import (
     Graph,
@@ -39,6 +40,7 @@ from .patterns import (
     first_present,
     has_induced,
     host_facts,
+    rooted_plans,
 )
 
 
@@ -730,11 +732,18 @@ _BANDS = (
 )
 
 
+@cache
+def _band_plans(band: int) -> tuple:
+    """The rooted plans of a band's triggers, compiled on first use."""
+    return rooted_plans(PATTERNS[row[1]] for row in _BANDS[band][:-1])
+
+
 def _fire(g: Graph, omega: int):
     """The choice made by omega's band, with the builder of its row."""
-    band = _BANDS[min(max(omega, 1), 5) - 1]
+    band_index = min(max(omega, 1), 5) - 1
+    band = _BANDS[band_index]
     facts = host_facts(g)
-    i, k1 = first_present(g, [PATTERNS[row[1]] for row in band[:-1]], facts)
+    i, k1 = first_present(g, _band_plans(band_index), facts)
     branch_id, pid, probe, build = band[i]
     anchor = probe(g, k1) if probe else find_induced(g, PATTERNS[pid], facts).map
     if anchor is None:
@@ -840,15 +849,19 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
     colors = cert.coloring.colors
     if len(colors) != g.n:
         return CheckResult(False, "coloring length mismatch")
-    if any(type(c) is not int or c < 1 for c in colors):
-        return CheckResult(False, "invalid color value")
-    for u in range(g.n):
-        row = g.adj[u]
-        for v in bits(row & ~((2 << u) - 1)):
-            if colors[u] == colors[v]:
-                return CheckResult(False, f"edge ({u}, {v}) monochromatic")
+    classes: dict[int, int] = {}  # color -> the vertices it colors
+    for v, c in enumerate(colors):
+        if type(c) is not int or c < 1:
+            return CheckResult(False, "invalid color value")
+        classes[c] = classes.get(c, 0) | 1 << v
+    for u, c in enumerate(colors):
+        clash = g.adj[u] & classes[c] & ~((2 << u) - 1)
+        if clash:
+            v = (clash & -clash).bit_length() - 1
+            return CheckResult(False, f"edge ({u}, {v}) monochromatic")
     seen = 0
     palette = 0  # colors used by the parts checked so far, as a mask
+    part_colors = []
     for part in cert.trace.parts:
         if type(part.vertices) is not int:
             return CheckResult(False, f"part {part.name} has a non-integer vertex mask")
@@ -857,19 +870,22 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
         if part.vertices & seen:
             return CheckResult(False, f"part {part.name} overlaps another part")
         seen |= part.vertices
-        used = {colors[v] for v in bits(part.vertices)}
-        if len(used) > part.strategy.budget:
+        used_mask = 0  # the part's colors
+        for c, cls in classes.items():
+            if cls & part.vertices:
+                used_mask |= 1 << c
+        if used_mask.bit_count() > part.strategy.budget:
             return CheckResult(
-                False, f"part {part.name} uses {len(used)} colors over budget"
+                False, f"part {part.name} uses {used_mask.bit_count()} colors over budget"
             )
-        used_mask = bitmask(used)
         if used_mask & palette:
             return CheckResult(False, f"part {part.name} reuses a color of an earlier part")
         palette |= used_mask
+        part_colors.append(used_mask)
     if seen != g.full_mask:
         return CheckResult(False, "parts do not partition V(G)")
     base = 1  # each part's colors are base .. base + colors_used - 1
-    for part in cert.trace.parts:
+    for part, used_mask in zip(cert.trace.parts, part_colors):
         used = part.colors_used
         if type(used) is not int:
             return CheckResult(False, f"part {part.name} has a non-integer colors_used")
@@ -877,7 +893,7 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
             return CheckResult(
                 False, f"part {part.name} colors_used {used} outside 0..{part.strategy.budget}"
             )
-        if any(not base <= colors[v] < base + used for v in bits(part.vertices)):
+        if used_mask & ~(((1 << used) - 1) << base):
             return CheckResult(False, f"part {part.name} has colors outside its colors_used range")
         base += used
     wit = cert.clique
@@ -894,7 +910,7 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
         return CheckResult(False, "witness is not a clique")
     if cert.budget != 2 * cert.omega:
         return CheckResult(False, "budget is not 2*omega")
-    if max(colors, default=0) > cert.budget:
+    if max(classes, default=0) > cert.budget:
         return CheckResult(False, "palette exceeds budget")
     return CheckResult(True)
 

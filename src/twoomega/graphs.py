@@ -5,7 +5,10 @@ used as bitmasks (bit ``v`` set means vertex ``v`` is in the set), so
 intersection, union and complement are single word operations; adjacency
 is stored as one bit-row per vertex for the same reason.  Graphs are
 immutable values: every construction returns a fresh graph, and vertex
-indices referenced by certificates stay valid forever.
+indices referenced by certificates stay valid forever.  ``bits`` iterates
+a mask for everything that is not hot; the hot walks (``induced``,
+``triangles``) inline the same ascending bit loop, so their order is the
+same.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def bit_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1."""
 
@@ -195,16 +198,24 @@ def induced(g: Graph, vertices) -> Graph:
         keep = bit_list(vertices)
     else:
         keep = sorted(set(vertices))
-    for v in keep:
-        g._check_vertex(v)
-    index = {v: i for i, v in enumerate(keep)}
-    rows = [0] * len(keep)
+    if keep and (keep[0] < 0 or keep[-1] >= g.n):
+        for v in keep:
+            g._check_vertex(v)
+    kept = 0
+    pos = [0] * g.n  # each kept vertex's bit in the induced copy
+    for i, v in enumerate(keep):
+        pos[v] = 1 << i
+        kept |= 1 << v
+    adj = g.adj
+    rows = []
     for v in keep:
         row = 0
-        for w in bits(g.adj[v]):
-            if w in index:
-                row |= 1 << index[w]
-        rows[index[v]] = row
+        rest = adj[v] & kept
+        while rest:
+            lb = rest & -rest
+            row |= pos[lb.bit_length() - 1]
+            rest ^= lb
+        rows.append(row)
     return _graph_nocheck(len(keep), tuple(rows))
 
 
@@ -226,12 +237,24 @@ def first_edge_in(g: Graph, mask: int) -> tuple[int, int] | None:
 def triangles(g: Graph, mask: int):
     """Yield the triangles (a, b, c), a < b < c, of G[mask] in
     lexicographic order."""
+    if mask < 0:
+        raise ValueError(f"vertex mask must be non-negative, got {mask}")
     adj = g.adj
-    for a in bits(mask):
-        na = adj[a] & mask & ~((2 << a) - 1)
-        for b in bits(na):
-            for c in bits(na & adj[b] & ~((2 << b) - 1)):
-                yield a, b, c
+    rest = mask
+    while rest:
+        la = rest & -rest
+        rest ^= la  # now the vertices of mask above a
+        a = la.bit_length() - 1
+        nb = adj[a] & rest
+        while nb:
+            lb = nb & -nb
+            nb ^= lb  # now a's neighbors in mask above b
+            b = lb.bit_length() - 1
+            nc = nb & adj[b]
+            while nc:
+                lc = nc & -nc
+                nc ^= lc
+                yield a, b, lc.bit_length() - 1
 
 
 def least_triangle_in(g: Graph, mask: int) -> tuple[int, int, int] | None:

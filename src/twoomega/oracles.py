@@ -7,6 +7,12 @@ branch-and-bound per color count, with a maximum clique pre-colored and
 new colors introduced in order, so results and timings are reproducible.
 A time budget, when given, produces an explicit timed-out result carrying
 the best bounds found so far, never an exception.
+
+The inner loops are plain bit loops, but the search order is fixed: the
+clique search tries vertices in reverse greedy-coloring order, and both
+colorings pick the most saturated vertex, then the higher degree, then
+the lower index, and try colors in ascending order.  So every coloring and
+witness clique is reproducible from the graph alone.
 """
 
 from __future__ import annotations
@@ -51,38 +57,38 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     best_set = 1
     best = 1
 
-    def color_bound(cand: int) -> list[tuple[int, int]]:
-        # Greedy coloring of the candidate set into independent classes;
-        # a vertex placed in class k bounds any clique through it (within
-        # cand and earlier classes) by k.  Returned in visit order.
-        out = []
-        k = 0
+    def expand(r_mask: int, r_size: int, cand: int):
+        # Greedy coloring of cand into independent classes, each filled
+        # least vertex first: a vertex in class k bounds any clique through
+        # it (within cand and earlier classes) by k.  The vertices are then
+        # tried in reverse visit order: last class first, highest index first.
+        nonlocal best, best_set
+        classes = []
         rest = cand
         while rest:
-            k += 1
+            cls = 0
             avail = rest
             while avail:
                 b = avail & -avail
-                v = b.bit_length() - 1
-                out.append((v, k))
-                avail &= ~adj[v] & ~b
-                rest ^= b
-        return out
-
-    def expand(r_mask: int, r_size: int, cand: int):
-        nonlocal best, best_set
-        ordered = color_bound(cand)
-        for v, bound in reversed(ordered):
-            if r_size + bound <= best:
-                return
-            b = 1 << v
-            cand &= ~b
-            new_cand = cand & adj[v]
-            if r_size + 1 > best:
-                best = r_size + 1
-                best_set = r_mask | b
-            if new_cand:
-                expand(r_mask | b, r_size + 1, new_cand)
+                cls |= b
+                avail &= ~adj[b.bit_length() - 1] & ~b
+            rest ^= cls
+            classes.append(cls)
+        for bound in range(len(classes), 0, -1):
+            cls = classes[bound - 1]
+            while cls:
+                if r_size + bound <= best:
+                    return
+                v = cls.bit_length() - 1
+                b = 1 << v
+                cls ^= b
+                cand ^= b
+                if r_size >= best:
+                    best = r_size + 1
+                    best_set = r_mask | b
+                new_cand = cand & adj[v]
+                if new_cand:
+                    expand(r_mask | b, r_size + 1, new_cand)
 
     expand(0, 0, (1 << n) - 1)
     return best, tuple(bit_list(best_set))
@@ -103,17 +109,24 @@ def greedy_coloring(g: Graph) -> Coloring:
     adj = g.adj
     colors = [0] * n
     nbr_used = [0] * n
-    degs = [adj[v].bit_count() for v in range(n)]
-    uncolored = set(range(n))
+    # (saturation, degree) as one number, saturation * n + degree; max()
+    # over the ascending uncolored list returns the first, lowest, maximum
+    key = [row.bit_count() for row in adj]
+    uncolored = list(range(n))
     for _ in range(n):
-        v = max(uncolored, key=lambda u: (nbr_used[u].bit_count(), degs[u], -u))
-        c = 0
-        while nbr_used[v] >> c & 1:
-            c += 1
-        colors[v] = c + 1
+        v = max(uncolored, key=key.__getitem__)
         uncolored.remove(v)
-        for w in bits(adj[v]):
-            nbr_used[w] |= 1 << c
+        used = nbr_used[v]
+        b = ~used & (used + 1)  # the least color free at v
+        colors[v] = b.bit_length()
+        rest = adj[v]
+        while rest:
+            lb = rest & -rest
+            rest ^= lb
+            w = lb.bit_length() - 1
+            if not nbr_used[w] & b:
+                nbr_used[w] |= b
+                key[w] += n
     return Coloring(tuple(colors))
 
 
@@ -128,30 +141,22 @@ def _k_colorable(g: Graph, k: int, clique: tuple[int, ...], deadline: float | No
     adj = g.adj
     colors = [0] * n
     nbr_used = [0] * n
-    degs = [adj[v].bit_count() for v in range(n)]
-    kmask = (1 << k) - 1
+    # (saturation, degree) as one number, saturation * n + degree
+    key = [row.bit_count() for row in adj]
+    nbrs = [bit_list(row) for row in adj]
 
     pre = list(clique[:k])
     for i, v in enumerate(pre):
         colors[v] = i + 1
-        for w in bits(adj[v]):
+        for w in nbrs[v]:
             nbr_used[w] |= 1 << i
-    uncolored = [v for v in range(n) if not colors[v]]
+            key[w] += n
+    uncolored = [v for v in range(n) if not colors[v]]  # kept ascending
     if not uncolored:
         return colors
     max_used = len(pre)
     ticker = 0
-
-    def choose():
-        bestv = -1
-        key = (-1, -1, 0)
-        for v in uncolored:
-            sat = (nbr_used[v] & kmask).bit_count()
-            cand = (sat, degs[v], -v)
-            if cand > key:
-                key = cand
-                bestv = v
-        return bestv
+    by_key = key.__getitem__
 
     def dive(max_used: int) -> bool:
         nonlocal ticker
@@ -160,28 +165,32 @@ def _k_colorable(g: Graph, k: int, clique: tuple[int, ...], deadline: float | No
         ticker += 1
         if deadline is not None and ticker & 1023 == 0 and time.monotonic() > deadline:
             raise _Deadline
-        v = choose()
+        # max() returns the first, lowest-index, vertex of greatest key
+        v = max(uncolored, key=by_key)
         limit = min(k, max_used + 1)
         avail = ~nbr_used[v] & ((1 << limit) - 1)
         if not avail:
             return False
-        uncolored.remove(v)
+        at = uncolored.index(v)
+        del uncolored[at]
         while avail:
             b = avail & -avail
             avail ^= b
-            c = b.bit_length() - 1
-            colors[v] = c + 1
+            c = b.bit_length()
+            colors[v] = c
             touched = []
-            for w in bits(adj[v]):
-                if not nbr_used[w] >> c & 1:
+            for w in nbrs[v]:
+                if not nbr_used[w] & b:
                     nbr_used[w] |= b
+                    key[w] += n
                     touched.append(w)
-            if dive(max(max_used, c + 1)):
+            if dive(max_used if max_used > c else c):
                 return True
             for w in touched:
                 nbr_used[w] ^= b
+                key[w] -= n
         colors[v] = 0
-        uncolored.append(v)
+        uncolored.insert(at, v)
         return False
 
     return colors if dive(max_used) else None

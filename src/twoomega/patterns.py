@@ -20,6 +20,10 @@ to).  ``first_present`` decides several such patterns in one pass over
 the host's triangles: each triangle's eight hit classes (the vertices
 adjacent to exactly a given subset of it) are the search's vertex
 classes, computed once, and every pattern still pending extends from them.
+
+The membership detectors for p3up2 and w4 are plain bit loops over the
+host's adjacency rows; they only answer yes or no, and ``class_membership``
+runs the lexicographic search for a pattern they find.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from typing import NamedTuple
 from .graphs import (
     Graph,
     bitmask,
-    bits,
     complement,
     complete,
     cycle,
@@ -345,18 +348,23 @@ def _hit_classes(g: Graph, a: int, b: int, c: int) -> tuple[int, ...]:
     return (y0 & ~nc, y1 & ~nc, y2 & ~nc, y3 & ~nc, y0 & nc, y1 & nc, y2 & nc, y3 & nc)
 
 
+def rooted_plans(patterns) -> tuple:
+    """The rooted plans of ``patterns`` (each containing a triangle), the
+    form ``first_present`` takes them in."""
+    return tuple(_plan(p)[2] for p in patterns)
+
+
 def first_present(
-    g: Graph, patterns: list[Pattern], facts: HostFacts | None = None
+    g: Graph, plans: tuple, facts: HostFacts | None = None
 ) -> tuple[int, int]:
-    """Index of the first of ``patterns`` (each containing a triangle) with
-    an induced copy in g, or ``len(patterns)`` when none has one; and the
-    vertices with a triangle in their non-neighborhood.
+    """Index of the first pattern with an induced copy in g, the patterns
+    given by their ``rooted_plans``, or ``len(plans)`` when none has one;
+    and the vertices with a triangle in their non-neighborhood.
 
     Every copy maps its pattern's root triangle onto a host triangle, so
     one pass over the host's triangles decides all the patterns: each
     triangle's hit classes are computed once, and only the patterns ahead
     of the first one found so far are tried from them."""
-    plans = [_plan(p)[2] for p in patterns]
     facts = facts or host_facts(g)
     best = len(plans)
     k1 = 0
@@ -385,21 +393,29 @@ def first_present(
 def _has_p3up2(g: Graph) -> bool:
     # An induced p3 a-b-c plus an edge inside M({a,b,c}).
     adj = g.adj
-    full = g.full_mask
-    nclosed = [adj[v] | 1 << v for v in range(g.n)]
-    for b in range(g.n):
+    n = g.n
+    full = (1 << n) - 1
+    nclosed = [row | 1 << v for v, row in enumerate(adj)]
+    for b in range(n):
         nb = adj[b]
-        for a in bits(nb):
-            rest = nb & ~adj[a] & ~((1 << (a + 1)) - 1)
-            for c in bits(rest):
-                m = full & ~(nclosed[a] | nclosed[b] | nclosed[c])
-                mm = m
-                while mm:
-                    lb = mm & -mm
-                    w = lb.bit_length() - 1
-                    if adj[w] & m & ~((lb << 1) - 1):
+        ra = nb
+        while ra:
+            la = ra & -ra
+            ra ^= la  # now N(b) above a
+            a = la.bit_length() - 1
+            rc = ra & ~adj[a]
+            if not rc:
+                continue
+            out_ab = full & ~(nclosed[a] | nclosed[b])
+            while rc:
+                lc = rc & -rc
+                rc ^= lc
+                m = out_ab & ~nclosed[lc.bit_length() - 1]
+                while m:
+                    lw = m & -m
+                    m ^= lw  # now M({a,b,c}) above w
+                    if adj[lw.bit_length() - 1] & m:
                         return True
-                    mm ^= lb
     return False
 
 
@@ -410,17 +426,21 @@ def _has_w4(g: Graph) -> bool:
         nh = adj[h]
         if nh.bit_count() < 4:
             continue
-        for x in bits(nh):
-            others = nh & ~adj[x] & ~((1 << (x + 1)) - 1)
-            for z in bits(others):
-                common = nh & adj[x] & adj[z]
-                cc = common
+        rx = nh
+        while rx:
+            lx = rx & -rx
+            rx ^= lx  # now N(h) above x
+            ax = adj[lx.bit_length() - 1]
+            rz = rx & ~ax
+            while rz:
+                lz = rz & -rz
+                rz ^= lz
+                cc = nh & ax & adj[lz.bit_length() - 1]
                 while cc:
-                    lb = cc & -cc
-                    y = lb.bit_length() - 1
-                    if common & ~adj[y] & ~((lb << 1) - 1):
+                    ly = cc & -cc
+                    cc ^= ly  # now the common neighbors above y
+                    if cc & ~adj[ly.bit_length() - 1]:
                         return True
-                    cc ^= lb
     return False
 
 

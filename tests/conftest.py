@@ -212,6 +212,204 @@ def reference_branch(g: Graph, omega: int):
     raise AssertionError(f"no branch fired for omega={omega}")
 
 
+# -- reference kernels -----------------------------------------------------------
+#
+# The solvers', detectors' and checker's hot loops as they were written with
+# generators, kept to pin that the tight bit loops in the package enumerate
+# in the same order: every result, witness and tie-break must match.
+
+
+def ref_clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
+    n = g.n
+    if n == 0:
+        return 0, ()
+    adj = g.adj
+    best_set = 1
+    best = 1
+
+    def color_bound(cand: int) -> list[tuple[int, int]]:
+        out = []
+        k = 0
+        rest = cand
+        while rest:
+            k += 1
+            avail = rest
+            while avail:
+                b = avail & -avail
+                v = b.bit_length() - 1
+                out.append((v, k))
+                avail &= ~adj[v] & ~b
+                rest ^= b
+        return out
+
+    def expand(r_mask: int, r_size: int, cand: int):
+        nonlocal best, best_set
+        ordered = color_bound(cand)
+        for v, bound in reversed(ordered):
+            if r_size + bound <= best:
+                return
+            b = 1 << v
+            cand &= ~b
+            new_cand = cand & adj[v]
+            if r_size + 1 > best:
+                best = r_size + 1
+                best_set = r_mask | b
+            if new_cand:
+                expand(r_mask | b, r_size + 1, new_cand)
+
+    expand(0, 0, (1 << n) - 1)
+    return best, tuple(bits(best_set))
+
+
+def ref_greedy_coloring(g: Graph) -> tuple[int, ...]:
+    n = g.n
+    adj = g.adj
+    colors = [0] * n
+    nbr_used = [0] * n
+    degs = [adj[v].bit_count() for v in range(n)]
+    uncolored = set(range(n))
+    for _ in range(n):
+        v = max(uncolored, key=lambda u: (nbr_used[u].bit_count(), degs[u], -u))
+        c = 0
+        while nbr_used[v] >> c & 1:
+            c += 1
+        colors[v] = c + 1
+        uncolored.remove(v)
+        for w in bits(adj[v]):
+            nbr_used[w] |= 1 << c
+    return tuple(colors)
+
+
+def ref_k_colorable(g: Graph, k: int, clique: tuple[int, ...]) -> list[int] | None:
+    n = g.n
+    adj = g.adj
+    colors = [0] * n
+    nbr_used = [0] * n
+    degs = [adj[v].bit_count() for v in range(n)]
+    kmask = (1 << k) - 1
+    pre = list(clique[:k])
+    for i, v in enumerate(pre):
+        colors[v] = i + 1
+        for w in bits(adj[v]):
+            nbr_used[w] |= 1 << i
+    uncolored = [v for v in range(n) if not colors[v]]
+    if not uncolored:
+        return colors
+
+    def choose():
+        bestv = -1
+        key = (-1, -1, 0)
+        for v in uncolored:
+            cand = ((nbr_used[v] & kmask).bit_count(), degs[v], -v)
+            if cand > key:
+                key = cand
+                bestv = v
+        return bestv
+
+    def dive(max_used: int) -> bool:
+        if not uncolored:
+            return True
+        v = choose()
+        limit = min(k, max_used + 1)
+        avail = ~nbr_used[v] & ((1 << limit) - 1)
+        if not avail:
+            return False
+        uncolored.remove(v)
+        while avail:
+            b = avail & -avail
+            avail ^= b
+            c = b.bit_length() - 1
+            colors[v] = c + 1
+            touched = []
+            for w in bits(adj[v]):
+                if not nbr_used[w] >> c & 1:
+                    nbr_used[w] |= b
+                    touched.append(w)
+            if dive(max(max_used, c + 1)):
+                return True
+            for w in touched:
+                nbr_used[w] ^= b
+        colors[v] = 0
+        uncolored.append(v)
+        return False
+
+    return colors if dive(len(pre)) else None
+
+
+def ref_induced_rows(g: Graph, vertices) -> tuple[int, tuple[int, ...]]:
+    keep = list(bits(vertices)) if isinstance(vertices, int) else sorted(set(vertices))
+    index = {v: i for i, v in enumerate(keep)}
+    rows = [0] * len(keep)
+    for v in keep:
+        row = 0
+        for w in bits(g.adj[v]):
+            if w in index:
+                row |= 1 << index[w]
+        rows[index[v]] = row
+    return len(keep), tuple(rows)
+
+
+def ref_triangles(g: Graph, mask: int) -> list[tuple[int, int, int]]:
+    adj = g.adj
+    out = []
+    for a in bits(mask):
+        na = adj[a] & mask & ~((2 << a) - 1)
+        for b in bits(na):
+            for c in bits(na & adj[b] & ~((2 << b) - 1)):
+                out.append((a, b, c))
+    return out
+
+
+def ref_has_p3up2(g: Graph) -> bool:
+    adj = g.adj
+    full = g.full_mask
+    nclosed = [adj[v] | 1 << v for v in range(g.n)]
+    for b in range(g.n):
+        nb = adj[b]
+        for a in bits(nb):
+            rest = nb & ~adj[a] & ~((1 << (a + 1)) - 1)
+            for c in bits(rest):
+                m = full & ~(nclosed[a] | nclosed[b] | nclosed[c])
+                mm = m
+                while mm:
+                    lb = mm & -mm
+                    w = lb.bit_length() - 1
+                    if adj[w] & m & ~((lb << 1) - 1):
+                        return True
+                    mm ^= lb
+    return False
+
+
+def ref_has_w4(g: Graph) -> bool:
+    adj = g.adj
+    for h in range(g.n):
+        nh = adj[h]
+        if nh.bit_count() < 4:
+            continue
+        for x in bits(nh):
+            others = nh & ~adj[x] & ~((1 << (x + 1)) - 1)
+            for z in bits(others):
+                common = nh & adj[x] & adj[z]
+                cc = common
+                while cc:
+                    lb = cc & -cc
+                    y = lb.bit_length() - 1
+                    if common & ~adj[y] & ~((lb << 1) - 1):
+                        return True
+                    cc ^= lb
+    return False
+
+
+def ref_monochromatic(g: Graph, colors) -> str | None:
+    """``check_certificate``'s failure for the first monochromatic edge,
+    walking u ascending and then its larger neighbors ascending."""
+    for u in range(g.n):
+        for v in bits(g.adj[u] & ~((2 << u) - 1)):
+            if colors[u] == colors[v]:
+                return f"edge ({u}, {v}) monochromatic"
+    return None
+
+
 @st.composite
 def graph_strategy(draw, max_n: int = 8):
     n = draw(st.integers(min_value=0, max_value=max_n))

@@ -1,9 +1,13 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
 from twoomega.graphs import (
     Graph,
     GraphParseError,
+    _graph_nocheck,
     bitmask,
     bit_list,
     bits,
@@ -147,6 +151,8 @@ def test_bits_rejects_negative_mask():
         next(bits(-1))
     with pytest.raises(ValueError, match="non-negative"):
         bit_list(-6)
+    with pytest.raises(ValueError, match="non-negative"):
+        next(triangles(complete(4), -1))
     assert bit_list(0) == [] and bit_list(0b1010) == [1, 3]
 
 
@@ -168,6 +174,28 @@ def test_graph_validation():
         Graph(1, (1,))  # self-loop
     with pytest.raises(ValueError):
         Graph(1, (2,))  # out of range bit
+
+
+def test_graph_is_slotted_and_frozen():
+    g = cycle(5)
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.n = 4
+    # a name that is not a field was a FrozenInstanceError too; slotted
+    # frozen dataclasses raise TypeError for it on Python 3.11
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        g.label = "c5"
+    # worker pools pickle graphs (TWOOMEGA_WORKERS)
+    for h in (g, empty_graph(0), _graph_nocheck(3, (6, 5, 3))):
+        back = pickle.loads(pickle.dumps(h))
+        assert back == h and hash(back) == hash(h) and back.adj == h.adj
+    # replace validates like the constructor; the unchecked constructor
+    # builds an equal graph without validating
+    assert dataclasses.replace(g, adj=complete(5).adj) == complete(5)
+    with pytest.raises(ValueError):
+        dataclasses.replace(g, adj=(1, 0, 0, 0, 0))
+    assert _graph_nocheck(3, (6, 5, 3)) == complete(3)
+    assert _graph_nocheck(1, (1,)).adj == (1,)
 
 
 # -- graph6 -------------------------------------------------------------------

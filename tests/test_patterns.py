@@ -17,6 +17,7 @@ from twoomega.patterns import (
     has_induced,
     host_facts,
     is_class_member,
+    rooted_plans,
 )
 
 from conftest import (
@@ -172,7 +173,7 @@ def test_rooted_presence_matches_has_induced():
         for g in all_graphs(n):
             facts = host_facts(g)
             for p in rooted:
-                assert (first_present(g, [p], facts)[0] == 0) == has_induced(g, p, facts), p.id
+                assert (first_present(g, rooted_plans([p]), facts)[0] == 0) == has_induced(g, p, facts), p.id
 
 
 def test_first_present_picks_the_first_pattern_present():
@@ -180,7 +181,7 @@ def test_first_present_picks_the_first_pattern_present():
     # and p2uk3 are present; k1 holds the K2's vertices, the only ones with
     # a triangle in their non-neighborhood
     g = union(complete(2), complete(4))
-    band = [PATTERNS[pid] for pid in ("2k3", "p2uk4", "p2uk3", "four_triangle", "gem")]
+    band = rooted_plans(PATTERNS[pid] for pid in ("2k3", "p2uk4", "p2uk3", "four_triangle", "gem"))
     assert first_present(g, band) == (1, 0b11)
     assert first_present(g, band[2:])[0] == 0
     assert first_present(g, band[3:]) == (2, 0b11)
