@@ -840,15 +840,36 @@ def color_bounded(
 
 
 def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
-    """The package's one coloring verifier: re-validates properness, the
-    part partition, per-part budgets, disjoint per-part color ranges, each
-    part's colors_used (within its budget, its colors in the range that
-    the earlier parts' counts leave it), the clique witness and the total
-    against 2*|witness|.  Runs no exact solver and shares no code path
-    with color_bounded's strategy executors.  A bool is not an int here."""
+    """The package's one coloring verifier: re-validates the clique witness
+    and the budget against 2*|witness|, properness, the palette against the
+    budget, the part partition, per-part budgets, disjoint per-part color
+    ranges and each part's colors_used (within its budget, its colors in
+    the range that the earlier parts' counts leave it, the range within the
+    budget).  Every number is bounded by the graph before a mask is built
+    from it.  Runs no exact solver and shares no code path with
+    color_bounded's strategy executors.  A bool is not an int here."""
     colors = cert.coloring.colors
     if len(colors) != g.n:
         return CheckResult(False, "coloring length mismatch")
+    if type(cert.omega) is not int:
+        return CheckResult(False, "omega is not an integer")
+    if type(cert.budget) is not int:
+        return CheckResult(False, "budget is not an integer")
+    # The witness and budget = 2*omega bound the budget by 2n.
+    wit = cert.clique
+    if len(wit) != cert.omega:
+        return CheckResult(False, f"witness has {len(wit)} vertices, omega is {cert.omega}")
+    if any(type(v) is not int for v in wit):
+        return CheckResult(False, "witness has a non-integer vertex")
+    if any(not 0 <= v < g.n for v in wit):
+        return CheckResult(False, "witness has vertices outside the graph")
+    wit_mask = bitmask(wit)
+    if wit_mask.bit_count() != len(wit):
+        return CheckResult(False, "witness repeats a vertex")
+    if any(wit_mask & ~(g.adj[v] | 1 << v) for v in wit):
+        return CheckResult(False, "witness is not a clique")
+    if cert.budget != 2 * cert.omega:
+        return CheckResult(False, "budget is not 2*omega")
     classes: dict[int, int] = {}  # color -> the vertices it colors
     for v, c in enumerate(colors):
         if type(c) is not int or c < 1:
@@ -859,6 +880,8 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
         if clash:
             v = (clash & -clash).bit_length() - 1
             return CheckResult(False, f"edge ({u}, {v}) monochromatic")
+    if max(classes, default=0) > cert.budget:
+        return CheckResult(False, "palette exceeds budget")
     seen = 0
     palette = 0  # colors used by the parts checked so far, as a mask
     part_colors = []
@@ -893,25 +916,11 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
             return CheckResult(
                 False, f"part {part.name} colors_used {used} outside 0..{part.strategy.budget}"
             )
+        if base + used - 1 > cert.budget:
+            return CheckResult(False, f"part {part.name} colors_used {used} overruns the budget")
         if used_mask & ~(((1 << used) - 1) << base):
             return CheckResult(False, f"part {part.name} has colors outside its colors_used range")
         base += used
-    wit = cert.clique
-    if len(wit) != cert.omega:
-        return CheckResult(False, f"witness has {len(wit)} vertices, omega is {cert.omega}")
-    if any(type(v) is not int for v in wit):
-        return CheckResult(False, "witness has a non-integer vertex")
-    if any(not 0 <= v < g.n for v in wit):
-        return CheckResult(False, "witness has vertices outside the graph")
-    wit_mask = bitmask(wit)
-    if wit_mask.bit_count() != len(wit):
-        return CheckResult(False, "witness repeats a vertex")
-    if any(wit_mask & ~(g.adj[v] | 1 << v) for v in wit):
-        return CheckResult(False, "witness is not a clique")
-    if cert.budget != 2 * cert.omega:
-        return CheckResult(False, "budget is not 2*omega")
-    if max(classes, default=0) > cert.budget:
-        return CheckResult(False, "palette exceeds budget")
     return CheckResult(True)
 
 

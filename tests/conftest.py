@@ -6,9 +6,58 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from twoomega.graphs import Graph, bits, induced
+from twoomega.graphs import (
+    Graph,
+    bits,
+    complement,
+    complete,
+    empty_graph,
+    induced,
+    join,
+    path,
+    union,
+)
 from twoomega.oracles import Coloring
 from twoomega.patterns import PATTERNS, Pattern, PatternEmbedding
+
+
+# -- search-engine fixtures ---------------------------------------------------
+#
+# Small named graphs the package does not read, kept to exercise the search
+# engine on more shapes (long paths, big cliques, symmetric gadgets) than the
+# catalog's 16 patterns.  ALL_PATTERNS is what the whole-catalog tests check.
+
+
+def _hvn() -> Graph:
+    g = complete(4)
+    return Graph.from_edges(5, list(g.edges()) + [(4, 0), (4, 1)])
+
+
+def _paraglider() -> Graph:
+    diamond = join(empty_graph(1), path(3))
+    deg2 = [v for v in diamond.vertices() if diamond.degree(v) == 2]
+    return Graph.from_edges(5, list(diamond.edges()) + [(4, deg2[0]), (4, deg2[1])])
+
+
+FIXTURE_PATTERNS: dict[str, Pattern] = {
+    pid: Pattern(pid, g)
+    for pid, g in {
+        "p2": path(2),
+        "p3": path(3),
+        "p4": path(4),
+        "p5": path(5),
+        "k3": complete(3),
+        "k4": complete(4),
+        "k5": complete(5),
+        "2k2": union(path(2), path(2)),
+        "diamond": join(empty_graph(1), path(3)),
+        "house": complement(path(5)),
+        "hvn": _hvn(),
+        "crown": join(empty_graph(1), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])),
+        "paraglider": _paraglider(),
+    }.items()
+}
+ALL_PATTERNS: dict[str, Pattern] = PATTERNS | FIXTURE_PATTERNS
 
 
 def rand_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -90,7 +139,7 @@ def naive_clique_number(g: Graph) -> int:
 
 def verify_embedding(g: Graph, emb: PatternEmbedding) -> bool:
     """Check that the map is an induced-subgraph isomorphism (edges and non-edges)."""
-    p = PATTERNS[emb.pattern_id]
+    p = ALL_PATTERNS[emb.pattern_id]
     m = emb.map
     if len(m) != p.order or len(set(m)) != len(m):
         return False

@@ -26,7 +26,14 @@ from twoomega.witnesses import (
     verify_witness,
 )
 
-from conftest import all_graphs, count_induced, naive_chromatic, rand_graph, validate_coloring
+from conftest import (
+    ALL_PATTERNS,
+    all_graphs,
+    count_induced,
+    naive_chromatic,
+    rand_graph,
+    validate_coloring,
+)
 from test_colorer import BRANCH_SUITE
 
 N7_GRAPHS = 1 << 21
@@ -138,7 +145,7 @@ def test_criterion_4_randomized_members(report_line):
 def test_criterion_5_detector_equivalence(report_line):
     t0 = time.perf_counter()
     rng = random.Random(20260810)
-    patterns = list(PATTERNS.values())
+    patterns = list(ALL_PATTERNS.values())
     for _ in range(500):
         n = rng.randrange(0, 10)
         g = rand_graph(rng, n, rng.choice([0.15, 0.3, 0.5, 0.7, 0.85]))

@@ -297,16 +297,23 @@ def test_check_certificate_rejects_tampered_witness(clique, failure):
     ("clique", (0, True, 2), "witness has a non-integer vertex"),
     ("mask", bool, "part all has a non-integer vertex mask"),
     ("colors_used", bool, "part all has a non-integer colors_used"),
+    # (omega, budget) on K1, equal to its (1, 2) as numbers
+    ("scalars", (True, 2), "omega is not an integer"),
+    ("scalars", (1.0, 2.0), "omega is not an integer"),
+    ("scalars", (1, 2.0), "budget is not an integer"),
 ], ids=["float-witness", "float-mask", "float-colors-used",
-        "bool-color", "bool-witness", "bool-mask", "bool-colors-used"])
+        "bool-color", "bool-witness", "bool-mask", "bool-colors-used",
+        "bool-omega", "float-omega", "float-budget"])
 def test_check_certificate_rejects_non_integers(field, value, failure):
     from dataclasses import replace
 
-    g = complete(3)
+    g = complete(1 if field == "scalars" else 3)
     cert = color_bounded(g)
     assert check_certificate(g, cert)
     (part,) = cert.trace.parts
-    if field == "colors":
+    if field == "scalars":
+        cert = replace(cert, omega=value[0], budget=value[1])
+    elif field == "colors":
         cert = replace(cert, coloring=replace(cert.coloring, colors=value))
     elif field == "clique":
         cert = replace(cert, clique=value)
@@ -318,6 +325,36 @@ def test_check_certificate_rejects_non_integers(field, value, failure):
     res = check_certificate(g, cert)
     assert not res
     assert res.failure == failure
+
+
+@pytest.mark.parametrize("field,failure", [
+    ("colors", "palette exceeds budget"),
+    ("colors_used", "part all colors_used 400000000 overruns the budget"),
+], ids=["huge-color", "huge-colors-used"])
+def test_check_certificate_bounds_numbers_before_masks(field, failure):
+    # a mask as wide as a tampered number would take 50 MB at 4*10**8 bits;
+    # the checker bounds the number by the budget first
+    import tracemalloc
+    from dataclasses import replace
+
+    big = 4 * 10**8
+    g = complete(1)
+    cert = color_bounded(g)
+    (part,) = cert.trace.parts
+    if field == "colors":
+        cert = replace(cert, coloring=replace(cert.coloring, colors=(big,)))
+    else:
+        part = replace(part, strategy=replace(part.strategy, budget=big), colors_used=big)
+        cert = replace(cert, trace=replace(cert.trace, parts=(part,)))
+    tracemalloc.start()
+    try:
+        res = check_certificate(g, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res
+    assert res.failure == failure
+    assert peak < 1 << 20
 
 
 def test_check_certificate_runs_no_exact_solver(monkeypatch):

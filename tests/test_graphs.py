@@ -27,9 +27,9 @@ from twoomega.graphs import (
     triangles,
     union,
 )
-from twoomega.patterns import PATTERNS, find_induced
+from twoomega.patterns import find_induced
 
-from conftest import graph_strategy, induced_isomorphic, rand_graph
+from conftest import ALL_PATTERNS, graph_strategy, induced_isomorphic, rand_graph
 
 
 def test_neighbors_examples():
@@ -63,7 +63,7 @@ def test_join_w4():
 
 
 def test_complement_p5_is_house():
-    assert induced_isomorphic(complement(path(5)), PATTERNS["house"].graph)
+    assert induced_isomorphic(complement(path(5)), ALL_PATTERNS["house"].graph)
 
 
 def test_union_counts():
@@ -130,10 +130,10 @@ def test_vertex_set_helpers_match_pattern_search(g):
         verts = bit_list(mask)
         sub = induced(g, mask)
         for pid, found in (("p2", first_edge_in(g, mask)), ("k3", least_triangle_in(g, mask))):
-            emb = find_induced(sub, PATTERNS[pid])
+            emb = find_induced(sub, ALL_PATTERNS[pid])
             assert found == (None if emb is None else tuple(verts[i] for i in emb.map))
         comps = clique_components(g, mask)
-        assert (comps is None) == (find_induced(sub, PATTERNS["p3"]) is not None)
+        assert (comps is None) == (find_induced(sub, ALL_PATTERNS["p3"]) is not None)
         if comps is not None:
             assert [c & -c for c in comps] == sorted(c & -c for c in comps)
             seen = 0

@@ -57,3 +57,34 @@ def test_non_stdlib_imports_detected():
 def test_imports_only_stdlib(path):
     # pyproject.toml declares no runtime dependencies
     assert non_stdlib_imports(path.read_text()) == []
+
+
+def string_literals(source: str, skip_function: str | None = None) -> set[str]:
+    """The string constants of a module, minus those inside the function
+    named ``skip_function``."""
+    tree = ast.parse(source)
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == skip_function:
+            skipped = {id(n) for n in ast.walk(node)}
+    return {
+        n.value for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in skipped
+    }
+
+
+def test_string_literals_skip_function():
+    source = 'A = "a"\ndef table():\n    return {"b": 1}\ndef use():\n    return "c"\n'
+    assert string_literals(source, "table") == {"a", "c"}
+
+
+def test_every_catalog_pattern_is_read():
+    # a pattern id named nowhere in the package but its catalog table has
+    # no reader; test-only patterns live in conftest's FIXTURE_PATTERNS
+    from twoomega.patterns import PATTERNS
+
+    named = set()
+    for path in PACKAGE:
+        skip = "_build_catalog" if path.name == "patterns.py" else None
+        named |= string_literals(path.read_text(), skip)
+    assert [pid for pid in PATTERNS if pid not in named] == []
