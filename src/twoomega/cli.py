@@ -166,7 +166,10 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
     return _graph_nocheck(n, tuple(rows))
 
 
-def _process_member(g: Graph, cfg: RunConfig) -> CorpusRecord:
+def _process_member(g: Graph, cfg: RunConfig) -> CorpusRecord | None:
+    """The scan entry of one graph: its record, or None for a non-member."""
+    if not is_class_member(g):
+        return None
     t0 = time.perf_counter()
     try:
         cert = color_bounded(g, assert_proofs=cfg.assert_proofs)
@@ -198,10 +201,9 @@ def _process_member(g: Graph, cfg: RunConfig) -> CorpusRecord:
     )
 
 
-def _scan_chunk(args) -> tuple[list[CorpusRecord], ScanSummary]:
+def _scan_chunk(args) -> list[CorpusRecord | None]:
     n, lo, hi, cfg = args
-    records, summary = scan_stream((_graph_from_mask(n, m) for m in range(lo, hi)), cfg)
-    return list(records), summary
+    return [_process_member(_graph_from_mask(n, m), cfg) for m in range(lo, hi)]
 
 
 def scan_exhaustive(n: int, cfg: RunConfig | None = None):
@@ -210,7 +212,9 @@ def scan_exhaustive(n: int, cfg: RunConfig | None = None):
     Returns (records, summary) like scan_stream.  Built-in generation is
     capped at n=7 (2^21 labeled graphs); feed larger graphs through
     scan_stream.  With ``cfg.workers > 1`` a process pool scans chunks of
-    the mask range, and the summary fills in one chunk at a time.
+    the mask range into one entry per graph, and the tally behind
+    scan_stream counts the entries as they are pulled; so the summary is
+    the same for every worker count, for a scan stopped early too.
     """
     cfg = cfg or RunConfig()
     if n < 0:
@@ -224,25 +228,18 @@ def scan_exhaustive(n: int, cfg: RunConfig | None = None):
     workers = max(1, cfg.workers)
     if workers == 1 or total < 1 << 10:
         return scan_stream((_graph_from_mask(n, m) for m in range(total)), cfg)
-    summary = ScanSummary()
 
-    def run():
+    def entries():
         import multiprocessing as mp
 
         # pool.imap keeps chunk order, so records stay in input order
         chunk = max(1 << 8, total // (workers * 16))
         ranges = [(n, lo, min(lo + chunk, total), cfg) for lo in range(0, total, chunk)]
-        hist = summary.branch_histogram
         with mp.Pool(workers) as pool:
-            for recs, part in pool.imap(_scan_chunk, ranges):
-                summary.graphs_seen += part.graphs_seen
-                summary.members += part.members
-                summary.violations += part.violations
-                for branch, count in part.branch_histogram.items():
-                    hist[branch] = hist.get(branch, 0) + count
-                yield from recs
+            for part in pool.imap(_scan_chunk, ranges):
+                yield from part
 
-    return run(), summary
+    return _tally(entries())
 
 
 def scan_stream(graphs, cfg: RunConfig | None = None):
@@ -250,18 +247,24 @@ def scan_stream(graphs, cfg: RunConfig | None = None):
 
     Returns (records, summary): ``records`` is a generator of CorpusRecord
     in input order, and ``summary`` counts each graph as the generator
-    pulls it from ``graphs`` (complete after exhaustion).
+    pulls it from ``graphs`` (complete after exhaustion).  A pooled
+    ``scan_exhaustive`` is counted by the same tally.
     """
     cfg = cfg or RunConfig()
+    return _tally(_process_member(g, cfg) for g in graphs)
+
+
+def _tally(entries):
+    """(records, summary) over one entry per graph: its record, or None for
+    a non-member.  The summary counts each entry as it is pulled."""
     summary = ScanSummary()
     hist = summary.branch_histogram
 
     def run():
-        for g in graphs:
+        for rec in entries:
             summary.graphs_seen += 1
-            if not is_class_member(g):
+            if rec is None:
                 continue
-            rec = _process_member(g, cfg)
             summary.members += 1
             hist[rec.branch] = hist.get(rec.branch, 0) + 1
             if not rec.ok:

@@ -192,25 +192,20 @@ def complement(g: Graph) -> Graph:
     return _graph_nocheck(g.n, rows)
 
 
-def induced(g: Graph, vertices) -> Graph:
-    """Induced subgraph; kept vertices are re-indexed preserving their order."""
-    if isinstance(vertices, int):
-        keep = bit_list(vertices)
-    else:
-        keep = sorted(set(vertices))
-    if keep and (keep[0] < 0 or keep[-1] >= g.n):
+def induced(g: Graph, mask: int) -> Graph:
+    """G[mask]; kept vertices are re-indexed preserving their order."""
+    keep = bit_list(mask)
+    if keep and keep[-1] >= g.n:
         for v in keep:
             g._check_vertex(v)
-    kept = 0
     pos = [0] * g.n  # each kept vertex's bit in the induced copy
     for i, v in enumerate(keep):
         pos[v] = 1 << i
-        kept |= 1 << v
     adj = g.adj
     rows = []
     for v in keep:
         row = 0
-        rest = adj[v] & kept
+        rest = adj[v] & mask
         while rest:
             lb = rest & -rest
             row |= pos[lb.bit_length() - 1]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from twoomega.graphs import (
     Graph,
+    bitmask,
     bits,
-    complement,
     complete,
     empty_graph,
     induced,
@@ -51,7 +51,7 @@ FIXTURE_PATTERNS: dict[str, Pattern] = {
         "k5": complete(5),
         "2k2": union(path(2), path(2)),
         "diamond": join(empty_graph(1), path(3)),
-        "house": complement(path(5)),
+        "house": Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]),
         "hvn": _hvn(),
         "crown": join(empty_graph(1), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])),
         "paraglider": _paraglider(),
@@ -206,7 +206,7 @@ def count_induced(g: Graph, p: Pattern) -> int:
         return 0
     count = 0
     for subset in itertools.combinations(range(g.n), k):
-        if induced_isomorphic(induced(g, subset), p.graph):
+        if induced_isomorphic(induced(g, bitmask(subset)), p.graph):
             count += 1
     return count
 
@@ -385,8 +385,8 @@ def ref_k_colorable(g: Graph, k: int, clique: tuple[int, ...]) -> list[int] | No
     return colors if dive(len(pre)) else None
 
 
-def ref_induced_rows(g: Graph, vertices) -> tuple[int, tuple[int, ...]]:
-    keep = list(bits(vertices)) if isinstance(vertices, int) else sorted(set(vertices))
+def ref_induced_rows(g: Graph, mask: int) -> tuple[int, tuple[int, ...]]:
+    keep = list(bits(mask))
     index = {v: i for i, v in enumerate(keep)}
     rows = [0] * len(keep)
     for v in keep:

@@ -296,6 +296,50 @@ def test_scan_stops_at_first_violation(capsys, monkeypatch, extra):
         assert [json.loads(s)["ok"] for s in lines[:-1]] == [True, True, False]
 
 
+def test_pooled_scan_stopped_at_violation_matches_serial(capsys, monkeypatch):
+    # the failure is planted on a fixed member, not on a call count: each
+    # worker would keep its own count.  The patch reaches the workers
+    # because the pool forks them (Linux's default start method up to
+    # Python 3.13).
+    import twoomega.cli as cli
+
+    def fails_on_dg(g, cert):
+        return graph6_encode(g) != "D}g"
+
+    monkeypatch.setattr(cli, "check_certificate", fails_on_dg)
+    runs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TWOOMEGA_WORKERS", workers)
+        runs.append(run_cli(capsys, "scan", "--n", "5", "--summary-only",
+                            monkeypatch=monkeypatch))
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 1
+    assert json.loads(out)["graphs_seen"] == 320
+    assert err == "violation reproducer: D}g\n"
+
+
+def test_color_withholds_certificate_with_bad_partition(capsys, monkeypatch):
+    # color_bounded leaves the partition to check_certificate
+    from twoomega import colorer
+    from twoomega.colorer import BranchChoice, PartStrategy
+
+    exact = PartStrategy("exact_with_budget", 4)
+    cases = [  # C5's parts, and the checker's verdict
+        ([("all", 0b11111, exact), ("again", 0b1, PartStrategy("independent", 1))],
+         "part again overlaps another part"),
+        ([("most", 0b11110, exact)], "invalid color value"),  # vertex 0 uncolored
+    ]
+    for plan, failure in cases:
+        monkeypatch.setattr(
+            colorer, "_fire",
+            lambda g, omega, plan=plan: (BranchChoice("OMEGA2", ()), lambda *_: (plan, [])),
+        )
+        code, out, err = run_cli(capsys, "color", "-", stdin="Dhc\n", monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == f"certificate failed independent check: {failure}\n"
+
+
 def test_scan_stream_input(tmp_path, capsys, monkeypatch):
     p = tmp_path / "graphs.g6"
     p.write_text(">>graph6<<\nDhc\nD~{\n")  # C5 and K5

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from twoomega.graphs import complete, cycle, first_edge_in, induced
+from twoomega.graphs import bitmask, complete, cycle, first_edge_in, induced
 from twoomega.oracles import (
     Coloring,
     chromatic_number,
@@ -143,7 +143,7 @@ def test_omega_le_chi(rng):
 def test_monotonicity_under_induced(g):
     import random
 
-    sub = [v for v in range(g.n) if random.Random(hash((g.adj, 7))).random() < 0.6]
+    sub = bitmask(v for v in range(g.n) if random.Random(hash((g.adj, 7))).random() < 0.6)
     h = induced(g, sub)
     assert chromatic_number(h).chi <= chromatic_number(g).chi
     assert clique_number(h)[0] <= clique_number(g)[0]

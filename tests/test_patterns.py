@@ -2,7 +2,7 @@ from itertools import permutations
 
 from hypothesis import given, settings
 
-from twoomega.graphs import Graph, complete, cycle, induced, path, union
+from twoomega.graphs import Graph, bitmask, complete, cycle, induced, path, union
 from twoomega.patterns import (
     PATTERNS,
     ClassReport,
@@ -202,7 +202,7 @@ def test_first_present_picks_the_first_pattern_present():
 def test_freeness_monotone_under_induced(g):
     import random
 
-    sub = [v for v in range(g.n) if random.Random(hash(g.adj)).random() < 0.6]
+    sub = bitmask(v for v in range(g.n) if random.Random(hash(g.adj)).random() < 0.6)
     h = induced(g, sub)
     for pid in ("p3", "k3", "p3up2", "c4"):
         p = ALL_PATTERNS[pid]

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "twoomega"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "twoomega"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
+READERS = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -88,3 +90,48 @@ def test_every_catalog_pattern_is_read():
         skip = "_build_catalog" if path.name == "patterns.py" else None
         named |= string_literals(path.read_text(), skip)
     assert [pid for pid in PATTERNS if pid not in named] == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def reads(tree: ast.Module) -> list[tuple[str, str | None]]:
+    """(name, owner) for every name a module reads, as a variable or as an
+    attribute; owner is the top-level definition holding the read, if any."""
+    out = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, DEFINITIONS) else None
+        for n in ast.walk(top):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.append((n.id, owner))
+            elif isinstance(n, ast.Attribute):
+                out.append((n.attr, owner))
+    return out
+
+
+def unread_definitions(source: str, others: list[str]) -> list[str]:
+    """Top-level functions and classes of ``source`` that neither another
+    part of it nor any of ``others`` reads; a read inside the definition's
+    own body (recursion, a method) does not count."""
+    tree = ast.parse(source)
+    outside = {name for text in others for name, _ in reads(ast.parse(text))}
+    own = reads(tree)
+    return [
+        d.name for d in tree.body
+        if isinstance(d, DEFINITIONS) and d.name not in outside
+        and all(name != d.name or owner == d.name for name, owner in own)
+    ]
+
+
+def test_unread_definitions_detected():
+    source = (
+        "class A:\n    x: int\nclass B:\n    def m(self):\n        return B()\n"
+        "def f():\n    return f()\ndef g():\n    return A\ndef h():\n    pass\n"
+    )
+    assert unread_definitions(source, ["import m\nm.g()\n"]) == ["B", "f", "h"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_definition_is_read(path):
+    others = [p.read_text() for p in READERS if p != path]
+    assert unread_definitions(path.read_text(), others) == []
