@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 from .colorer import (
     ColorerError,
@@ -37,15 +37,13 @@ from .patterns import class_membership, is_class_member
 from .witnesses import EXPECTED_REPORTS, WITNESS_BUILDERS, verify_witness
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     oracle: bool = False
     assert_proofs: bool = False
     workers: int = 1
 
 
-@dataclass
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     graph6: str
     n: int
     omega: int
@@ -56,15 +54,19 @@ class CorpusRecord:
     millis: float
 
 
-@dataclass
 class ScanSummary:
-    graphs_seen: int = 0
-    members: int = 0
-    violations: int = 0
-    branch_histogram: dict = field(default_factory=dict)
+    """Counts of a scan, updated as its records are pulled."""
+
+    __slots__ = ("graphs_seen", "members", "violations", "branch_histogram")
+
+    def __init__(self):
+        self.graphs_seen = 0
+        self.members = 0
+        self.violations = 0
+        self.branch_histogram = {}
 
 
-CSV_FIELDS = [f.name for f in fields(CorpusRecord)]
+CSV_FIELDS = list(CorpusRecord._fields)
 
 
 # -- deterministic RNG --------------------------------------------------------
@@ -98,10 +100,12 @@ def random_graph(n: int, p: float, rng: SplitMix64) -> Graph:
     return _graph_nocheck(n, tuple(rows))
 
 
-@dataclass
 class SampleStats:
-    drawn: int = 0
-    accepted: int = 0
+    __slots__ = ("drawn", "accepted")
+
+    def __init__(self):
+        self.drawn = 0
+        self.accepted = 0
 
     @property
     def rejection_rate(self) -> float:
@@ -277,20 +281,15 @@ def _tally(entries):
 # -- emitters -----------------------------------------------------------------
 
 
-def _record_dict(rec: CorpusRecord) -> dict:
-    return {k: getattr(rec, k) for k in CSV_FIELDS}
-
-
 def emit_records(records, fmt: str, out) -> None:
     if fmt == "json":
         for rec in records:
-            out.write(json.dumps(_record_dict(rec), separators=(",", ":")) + "\n")
+            out.write(json.dumps(rec._asdict(), separators=(",", ":")) + "\n")
     else:
         writer = csv.writer(out)
         writer.writerow(CSV_FIELDS)
         for rec in records:
-            d = _record_dict(rec)
-            writer.writerow(["" if d[k] is None else d[k] for k in CSV_FIELDS])
+            writer.writerow(["" if v is None else v for v in rec])
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -418,7 +417,7 @@ def _dispatch(args) -> int:
             print(f"witness mismatch on fields: {mismatches}", file=sys.stderr)
             return 1
         out.write(graph6_encode(g) + "\n")
-        out.write(json.dumps(asdict(report), separators=(",", ":")) + "\n")
+        out.write(json.dumps(report._asdict(), separators=(",", ":")) + "\n")
         return 0
 
     if args.mode == "scan":

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -82,32 +82,28 @@ class ColoringTimeout(ColorerError):
         super().__init__(f"exact coloring of part {part!r} exceeded the time budget")
 
 
-@dataclass(frozen=True)
-class PartStrategy:
+class PartStrategy(NamedTuple):
     kind: str  # independent | cliques | bipartite | indexed_cover | exact_with_budget
     budget: int
     provenance: str = ""
     classes: tuple[tuple[str, int], ...] | None = None
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     name: str
     vertices: int  # bitmask
     strategy: PartStrategy
     colors_used: int
 
 
-@dataclass(frozen=True)
-class BranchTrace:
+class BranchTrace(NamedTuple):
     branch_id: str
     anchor: tuple[int, ...]
     parts: tuple[Part, ...]
     assertions: tuple[str, ...]  # refs of the claims checked; a failed claim raises
 
 
-@dataclass(frozen=True)
-class ColoringCertificate:
+class ColoringCertificate(NamedTuple):
     coloring: Coloring
     omega: int
     clique: tuple[int, ...]  # an omega-clique: the witness that omega is attained
@@ -116,14 +112,12 @@ class ColoringCertificate:
     class_checked: bool
 
 
-@dataclass(frozen=True)
-class BranchChoice:
+class BranchChoice(NamedTuple):
     branch_id: str
     anchor: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     failure: str | None = None
 

@@ -13,8 +13,6 @@ same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class GraphParseError(ValueError):
     """Malformed graph6 input; ``offset`` points at the offending byte."""
@@ -49,27 +47,53 @@ def bit_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
-    """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1."""
+    """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1.
+
+    An immutable value: two slots, compared and hashed by (n, adj), and
+    pickled through the validating constructor."""
+
+    __slots__ = ("n", "adj")
 
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency must have one row per vertex")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for u, row in enumerate(adj):
             if row & ~full:
-                raise ValueError(f"row {u} has bits outside 0..{self.n - 1}")
+                raise ValueError(f"row {u} has bits outside 0..{n - 1}")
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u}")
             for v in bits(row):
-                if not self.adj[v] >> u & 1:
+                if not adj[v] >> u & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        _set_n(self, n)
+        _set_adj(self, adj)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Graph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Graph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
+
+    def __reduce__(self):
+        return Graph, (self.n, self.adj)
 
     # -- basic accessors ------------------------------------------------
 
@@ -140,11 +164,16 @@ class Graph:
         return Graph(n, tuple(rows))
 
 
+# The slot descriptors write past Graph.__setattr__.
+_set_n = Graph.n.__set__
+_set_adj = Graph.adj.__set__
+
+
 def _graph_nocheck(n: int, rows: tuple[int, ...]) -> Graph:
     # Hot-path constructor for callers that guarantee well-formed rows.
     g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "adj", rows)
+    _set_n(g, n)
+    _set_adj(g, rows)
     return g
 
 

@@ -2,9 +2,13 @@
 the 2-coloring witness the colorer's bipartite parts rely on.
 
 The clique solver is branch-and-bound with a greedy-coloring upper bound
-for pruning.  The chromatic solver runs a saturation-driven (first-fail)
-branch-and-bound per color count, with a maximum clique pre-colored and
-new colors introduced in order, so results and timings are reproducible.
+for pruning.  The chromatic solver runs a saturation-driven (first-fail,
+DSATUR) branch-and-bound per color count, with a maximum clique
+pre-colored and new colors introduced in order, so results and timings
+are reproducible.  Its state is bit-parallel: one mask per color of the
+vertices that color is forbidden at, and the saturations as bit-sliced
+counters, so placing a vertex and choosing the next one are a few mask
+operations each, not a walk over the vertices.
 A time budget, when given, produces an explicit timed-out result carrying
 the best bounds found so far, never an exception.
 
@@ -18,13 +22,12 @@ witness clique is reproducible from the graph alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, bit_list, bits
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Color assignment, one positive integer per vertex."""
 
     colors: tuple[int, ...]
@@ -34,8 +37,7 @@ class Coloring:
         return max(self.colors, default=0)
 
 
-@dataclass(frozen=True)
-class ChromaticResult:
+class ChromaticResult(NamedTuple):
     chi: int | None
     lower: int
     upper: int
@@ -136,64 +138,91 @@ def _k_colorable(g: Graph, k: int, clique: tuple[int, ...], deadline: float | No
     Returns a color list, None if infeasible, or raises _Deadline.
     Branching: most saturated vertex first (ties: higher degree, lower
     index); a vertex may use at most one color beyond the maximum used.
+
+    The state is bit-parallel over the vertices (exact on the uncolored
+    ones): ``forb[i]`` holds the vertices with a neighbour of color i+1,
+    and each vertex's saturation (how many colors its neighbours use) is a
+    counter kept in bit slices, ``sat[j]`` holding bit j of every counter.
+    The next vertex is found by mask filtering: the saturation slices from
+    the top bit down, then the degree levels from the highest down, then
+    the lowest bit.
     """
     n = g.n
     adj = g.adj
     colors = [0] * n
-    nbr_used = [0] * n
-    # (saturation, degree) as one number, saturation * n + degree
-    key = [row.bit_count() for row in adj]
-    nbrs = [bit_list(row) for row in adj]
-
-    pre = list(clique[:k])
+    forb = [0] * k
+    sat = [0] * k.bit_length()  # a saturation is at most k
+    slices = range(len(sat))
+    pre = clique[:k]
+    uncolored = (1 << n) - 1
+    for v in pre:
+        uncolored ^= 1 << v
     for i, v in enumerate(pre):
         colors[v] = i + 1
-        for w in nbrs[v]:
-            nbr_used[w] |= 1 << i
-            key[w] += n
-    uncolored = [v for v in range(n) if not colors[v]]  # kept ascending
+        forb[i] = carry = adj[v] & uncolored
+        for j in slices:  # add one to the counters in carry, ripple carry
+            s = sat[j]
+            sat[j] = s ^ carry
+            carry &= s
     if not uncolored:
         return colors
-    max_used = len(pre)
+    by_degree: dict[int, int] = {}
+    for v in bits(uncolored):
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    levels = [by_degree[d] for d in sorted(by_degree, reverse=True)]
     ticker = 0
-    by_key = key.__getitem__
 
-    def dive(max_used: int) -> bool:
+    def dive(uncolored: int, max_used: int) -> bool:
         nonlocal ticker
         if not uncolored:
             return True
         ticker += 1
         if deadline is not None and ticker & 1023 == 0 and time.monotonic() > deadline:
             raise _Deadline
-        # max() returns the first, lowest-index, vertex of greatest key
-        v = max(uncolored, key=by_key)
-        limit = min(k, max_used + 1)
-        avail = ~nbr_used[v] & ((1 << limit) - 1)
-        if not avail:
-            return False
-        at = uncolored.index(v)
-        del uncolored[at]
-        while avail:
-            b = avail & -avail
-            avail ^= b
-            c = b.bit_length()
-            colors[v] = c
-            touched = []
-            for w in nbrs[v]:
-                if not nbr_used[w] & b:
-                    nbr_used[w] |= b
-                    key[w] += n
-                    touched.append(w)
-            if dive(max_used if max_used > c else c):
+        cand = uncolored
+        for s in reversed(sat):
+            t = cand & s
+            if t:
+                cand = t
+        for level in levels:
+            t = cand & level
+            if t:
+                cand = t
+                break
+        b = cand & -cand
+        v = b.bit_length() - 1
+        rest = uncolored ^ b
+        nb = adj[v] & rest
+        for i in range(k if max_used >= k else max_used + 1):
+            f = forb[i]
+            if f & b:
+                continue
+            colors[v] = i + 1
+            new = nb & ~f
+            if new:
+                forb[i] = f | new
+                carry = new
+                for j in slices:
+                    s = sat[j]
+                    sat[j] = s ^ carry
+                    carry &= s
+                    if not carry:
+                        break
+            if dive(rest, max_used if max_used > i else i + 1):
                 return True
-            for w in touched:
-                nbr_used[w] ^= b
-                key[w] -= n
+            if new:
+                forb[i] = f
+                for j in slices:  # subtract one, ripple borrow
+                    s = sat[j]
+                    sat[j] = s ^ new
+                    new &= ~s
+                    if not new:
+                        break
         colors[v] = 0
-        uncolored.insert(at, v)
         return False
 
-    return colors if dive(max_used) else None
+    return colors if dive(uncolored, len(pre)) else None
 
 
 def chromatic_number(

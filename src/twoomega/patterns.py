@@ -30,9 +30,9 @@ runs the lexicographic search for a pattern they find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -47,8 +47,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     id: str
     graph: Graph
 
@@ -57,16 +56,14 @@ class Pattern:
         return self.graph.n
 
 
-@dataclass(frozen=True)
-class PatternEmbedding:
+class PatternEmbedding(NamedTuple):
     """Injective map pattern-vertex -> host-vertex witnessing an induced copy."""
 
     pattern_id: str
     map: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Membership verdict for the (p3up2, w4)-free class."""
 
     member: bool

@@ -6,15 +6,14 @@ recomputes their parameters from scratch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, bits, cycle
 from .oracles import chromatic_number
 from .patterns import class_membership
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     name: str
     n: int
     m: int

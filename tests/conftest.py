@@ -65,6 +65,13 @@ def rand_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def coin_submask(g: Graph, salt: int = 0, p: float = 0.6) -> int:
+    """A random vertex subset of g: one coin per vertex, all drawn from one
+    Random seeded by g's rows and the salt, so the draw is reproducible."""
+    rng = random.Random(hash((g.adj, salt)))
+    return bitmask(v for v in range(g.n) if rng.random() < p)
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]

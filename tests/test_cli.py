@@ -62,11 +62,9 @@ def test_witness_subcommand(capsys, monkeypatch):
 
 def test_witness_recomputes_its_report(capsys, monkeypatch):
     # a pinned report that the recomputation contradicts: exit 1, no data
-    from dataclasses import replace
-
     from twoomega.witnesses import EXPECTED_REPORTS
 
-    wrong = replace(EXPECTED_REPORTS["groetzsch"], chi=5)
+    wrong = EXPECTED_REPORTS["groetzsch"]._replace(chi=5)
     monkeypatch.setitem(EXPECTED_REPORTS, "groetzsch", wrong)
     code, out, err = run_cli(capsys, "witness", "groetzsch", monkeypatch=monkeypatch)
     assert (code, out) == (1, "")

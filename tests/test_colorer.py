@@ -199,25 +199,39 @@ def test_check_certificate_catches_tampering():
     assert check_certificate(g, cert)
     bad_colors = list(cert.coloring.colors)
     bad_colors[1] = bad_colors[0]
-    from dataclasses import replace
     from twoomega.oracles import Coloring
 
-    tampered = replace(cert, coloring=Coloring(tuple(bad_colors)))
+    tampered = cert._replace(coloring=Coloring(tuple(bad_colors)))
     res = check_certificate(g, tampered)
     assert not res
     assert "monochromatic" in res.failure
 
 
 def test_check_certificate_rejects_wrong_omega():
-    from dataclasses import replace
-
     g = complete(4)
     cert = color_bounded(g)
-    assert not check_certificate(g, replace(cert, omega=3, budget=6))
+    assert not check_certificate(g, cert._replace(omega=3, budget=6))
+
+
+@pytest.mark.parametrize("graph,tamper,failure", [
+    # a real 2-clique witnesses omega = 2 on K5, and budget 10 would admit
+    # K5's five colors: only budget == 2*omega rejects the claim
+    (complete(5), lambda c: c._replace(omega=2, clique=(0, 1), budget=10),
+     "budget is not 2*omega"),
+    (cycle(5), lambda c: c._replace(coloring=c.coloring._replace(colors=c.coloring.colors[:4])),
+     "coloring length mismatch"),
+    (cycle(5), lambda c: c._replace(trace=c.trace._replace(parts=())),
+     "parts do not partition V(G)"),
+], ids=["budget-not-2omega", "short-coloring", "no-parts"])
+def test_check_certificate_load_bearing_guards(graph, tamper, failure):
+    cert = color_bounded(graph)
+    assert check_certificate(graph, cert)
+    res = check_certificate(graph, tamper(cert))
+    assert not res
+    assert res.failure == failure
 
 
 def test_check_certificate_rejects_shared_part_colors():
-    from dataclasses import replace
     from twoomega.oracles import Coloring
 
     g = union(complete(3), complete(3))
@@ -227,7 +241,7 @@ def test_check_certificate_rejects_shared_part_colors():
     ]
     colors = list(cert.coloring.colors)
     colors[2] = colors[5]  # n3 borrows a color of the other triangle: still proper
-    tampered = replace(cert, coloring=Coloring(tuple(colors)))
+    tampered = cert._replace(coloring=Coloring(tuple(colors)))
     assert validate_coloring(g, tampered.coloring)[0]
     res = check_certificate(g, tampered)
     assert not res
@@ -241,7 +255,6 @@ def test_check_certificate_rejects_shared_part_colors():
     (5, "part all has colors outside its colors_used range"),
 ], ids=["over-budget", "negative", "zero", "too-few"])
 def test_check_certificate_rejects_tampered_colors_used(colors_used, failure):
-    from dataclasses import replace
     from twoomega.witnesses import schlafli_complement
 
     g = schlafli_complement()
@@ -249,21 +262,19 @@ def test_check_certificate_rejects_tampered_colors_used(colors_used, failure):
     (part,) = cert.trace.parts
     assert (part.name, part.colors_used, part.strategy.budget) == ("all", 6, 6)
     assert check_certificate(g, cert)
-    parts = (replace(part, colors_used=colors_used),)
-    res = check_certificate(g, replace(cert, trace=replace(cert.trace, parts=parts)))
+    parts = (part._replace(colors_used=colors_used),)
+    res = check_certificate(g, cert._replace(trace=cert.trace._replace(parts=parts)))
     assert not res
     assert res.failure == failure
 
 
 @pytest.mark.parametrize("mask_of", [lambda m: m | 1 << 7, lambda m: -1], ids=["bit7", "minus1"])
 def test_check_certificate_rejects_part_outside_graph(mask_of):
-    from dataclasses import replace
-
     g = cycle(5)
     cert = color_bounded(g)
     first, *rest = cert.trace.parts
-    parts = (replace(first, vertices=mask_of(first.vertices)), *rest)
-    res = check_certificate(g, replace(cert, trace=replace(cert.trace, parts=parts)))
+    parts = (first._replace(vertices=mask_of(first.vertices)), *rest)
+    res = check_certificate(g, cert._replace(trace=cert.trace._replace(parts=parts)))
     assert not res
     assert res.failure == f"part {first.name} has vertices outside the graph"
 
@@ -277,12 +288,10 @@ def test_check_certificate_rejects_part_outside_graph(mask_of):
     ((-1, 3, 4, 5), "witness has vertices outside the graph"),
 ], ids=["non-adjacent", "too-small", "too-large", "repeated", "past-n", "negative"])
 def test_check_certificate_rejects_tampered_witness(clique, failure):
-    from dataclasses import replace
-
     g = union(complete(2), complete(4))
     cert = color_bounded(g)
     assert cert.clique == (2, 3, 4, 5) and check_certificate(g, cert)
-    res = check_certificate(g, replace(cert, clique=clique))
+    res = check_certificate(g, cert._replace(clique=clique))
     assert not res
     assert res.failure == failure
 
@@ -312,25 +321,23 @@ def test_check_certificate_rejects_tampered_witness(clique, failure):
         "bool-part-budget", "float-part-budget", "fraction-part-budget",
         "str-part-budget", "none-part-budget"])
 def test_check_certificate_rejects_non_integers(field, value, failure):
-    from dataclasses import replace
-
     g = complete(1 if field in ("scalars", "budget") else 3)
     cert = color_bounded(g)
     assert check_certificate(g, cert)
     (part,) = cert.trace.parts
     if field == "scalars":
-        cert = replace(cert, omega=value[0], budget=value[1])
+        cert = cert._replace(omega=value[0], budget=value[1])
     elif field == "colors":
-        cert = replace(cert, coloring=replace(cert.coloring, colors=value))
+        cert = cert._replace(coloring=cert.coloring._replace(colors=value))
     elif field == "clique":
-        cert = replace(cert, clique=value)
+        cert = cert._replace(clique=value)
     elif field == "mask":
-        part = replace(part, vertices=value(part.vertices))
+        part = part._replace(vertices=value(part.vertices))
     elif field == "budget":
-        part = replace(part, strategy=replace(part.strategy, budget=value))
+        part = part._replace(strategy=part.strategy._replace(budget=value))
     else:
-        part = replace(part, colors_used=value(part.colors_used))
-    cert = replace(cert, trace=replace(cert.trace, parts=(part,)))
+        part = part._replace(colors_used=value(part.colors_used))
+    cert = cert._replace(trace=cert.trace._replace(parts=(part,)))
     res = check_certificate(g, cert)
     assert not res
     assert res.failure == failure
@@ -344,17 +351,15 @@ def test_check_certificate_bounds_numbers_before_masks(field, failure):
     # a mask as wide as a tampered number would take 50 MB at 4*10**8 bits;
     # the checker bounds the number by the budget first
     import tracemalloc
-    from dataclasses import replace
-
     big = 4 * 10**8
     g = complete(1)
     cert = color_bounded(g)
     (part,) = cert.trace.parts
     if field == "colors":
-        cert = replace(cert, coloring=replace(cert.coloring, colors=(big,)))
+        cert = cert._replace(coloring=cert.coloring._replace(colors=(big,)))
     else:
-        part = replace(part, strategy=replace(part.strategy, budget=big), colors_used=big)
-        cert = replace(cert, trace=replace(cert.trace, parts=(part,)))
+        part = part._replace(strategy=part.strategy._replace(budget=big), colors_used=big)
+        cert = cert._replace(trace=cert.trace._replace(parts=(part,)))
     tracemalloc.start()
     try:
         res = check_certificate(g, cert)

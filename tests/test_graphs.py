@@ -1,5 +1,5 @@
-import dataclasses
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -168,34 +168,66 @@ def test_triangles_lexicographic(g):
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(2, (1, 0))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(1, (1,))  # self-loop
-    with pytest.raises(ValueError):
-        Graph(1, (2,))  # out of range bit
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(-1, ())
+    with pytest.raises(ValueError, match="one row per vertex"):
+        Graph(3, (0, 0))  # short adjacency
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+        Graph(2, (2, 0))
+    with pytest.raises(ValueError, match="self-loop at vertex 0"):
+        Graph(1, (1,))
+    with pytest.raises(ValueError, match="row 0 has bits outside 0..0"):
+        Graph(1, (2,))
+    with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range for n=3"):
+        Graph.from_edges(3, [(0, 3)])
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph.from_edges(3, [(1, 1)])
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        cycle(2)
+    with pytest.raises(ValueError, match="outside the graph"):
+        complete(3).neighborhood_of_set(0b1001)
+    with pytest.raises(ValueError, match="out of range"):
+        complete(3).has_edge(0, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        induced(complete(3), 0b1001)
+    assert complete(3).neighborhood_of_set(0b001) == 0b110
 
 
 def test_graph_is_slotted_and_frozen():
+    class TwoSlots:
+        __slots__ = ("a", "b")
+
     g = cycle(5)
     assert not hasattr(g, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert sys.getsizeof(g) == sys.getsizeof(TwoSlots())
+    with pytest.raises(AttributeError):
         g.n = 4
-    # a name that is not a field was a FrozenInstanceError too; slotted
-    # frozen dataclasses raise TypeError for it on Python 3.11
-    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+    with pytest.raises(AttributeError):
         g.label = "c5"
+    with pytest.raises(AttributeError):
+        del g.adj
+    assert (g.n, g.adj) == (5, cycle(5).adj)
     # worker pools pickle graphs (TWOOMEGA_WORKERS)
     for h in (g, empty_graph(0), _graph_nocheck(3, (6, 5, 3))):
         back = pickle.loads(pickle.dumps(h))
         assert back == h and hash(back) == hash(h) and back.adj == h.adj
-    # replace validates like the constructor; the unchecked constructor
-    # builds an equal graph without validating
-    assert dataclasses.replace(g, adj=complete(5).adj) == complete(5)
+    # the constructor validates; the unchecked constructor builds an equal
+    # graph without validating
+    assert Graph(g.n, complete(5).adj) == complete(5)
     with pytest.raises(ValueError):
-        dataclasses.replace(g, adj=(1, 0, 0, 0, 0))
+        Graph(g.n, (1, 0, 0, 0, 0))
     assert _graph_nocheck(3, (6, 5, 3)) == complete(3)
     assert _graph_nocheck(1, (1,)).adj == (1,)
+
+
+def test_graph_equality_hash_and_repr():
+    k3 = complete(3)
+    same = _graph_nocheck(3, (6, 5, 3))
+    assert k3 == same and hash(k3) == hash(same) and len({k3, same}) == 1
+    assert k3 != path(3) and k3 != empty_graph(3) and k3 != complete(4)
+    assert k3 != (3, (6, 5, 3)) and k3 != "K3"
+    assert empty_graph(0) == Graph(0, ())
+    assert repr(k3) == "Graph(n=3, adj=(6, 5, 3))"
 
 
 # -- graph6 -------------------------------------------------------------------
@@ -204,6 +236,9 @@ def test_graph_is_slotted_and_frozen():
 def test_graph6_c5_vector():
     assert graph6_encode(cycle(5)) == "Dhc"
     assert graph6_decode("Dhc").adj == cycle(5).adj
+    # K2 and K3 with clean padding, next to the dirty ones rejected below
+    assert graph6_decode("A_").adj == (2, 1)
+    assert graph6_decode("Bw").adj == (6, 5, 3)
 
 
 def test_graph6_k1():
@@ -266,6 +301,26 @@ def test_graph6_malformed():
     assert err is not None and err.offset == 1
     with pytest.raises(GraphParseError):
         graph6_decode(":Dhc")  # sparse6
+
+
+@pytest.mark.parametrize("text,message", [
+    ("~", "truncated extended size prefix"),
+    ("~?", "truncated extended size prefix"),
+    ("~??", "truncated extended size prefix"),
+    ("~~??????", "8-byte graph6 sizes"),
+    ("A`", "nonzero padding bits"),
+    ("A@", "nonzero padding bits"),
+    ("B~", "nonzero padding bits"),
+    ("@?", "expected 0 adjacency characters for n=1, got 1"),
+], ids=["tilde", "tilde1", "tilde2", "8-byte", "A-backtick", "A-at", "B-tilde", "K1-extra"])
+def test_graph6_malformed_prefixes_and_padding(text, message):
+    with pytest.raises(GraphParseError, match=message):
+        graph6_decode(text)
+
+
+def test_graph6_encode_size_limit():
+    with pytest.raises(ValueError, match="at most 258047 vertices"):
+        graph6_encode(_graph_nocheck(258048, (0,) * 258048))
 
 
 def test_empty_graph_everywhere():

@@ -4,7 +4,8 @@
 The golden certificate and scan digests reach the exact search in only a
 few members, so the search order of the solvers is pinned here on every
 graph with n <= 6, on seeded G(n, p) graphs with n = 7..14 and on both
-tightness witnesses."""
+tightness witnesses; the exact colouring also on seeded G(n, p) graphs
+with n = 15..20."""
 
 import random
 from functools import cache
@@ -73,6 +74,23 @@ def test_exact_coloring_matches_reference():
         assert res.coloring.colors == tuple(want)
         assert res.chi == max(want, default=0)
         assert res.clique == clique
+
+
+def test_exact_coloring_matches_reference_above_14():
+    # 60 seeded G(n, p) with n = 15..20, ten per n over five densities; every
+    # k from 1 to the greedy palette, infeasible below omega included
+    rng = random.Random(20261019)
+    hard = 0
+    for n in range(15, 21):
+        for p in (0.15, 0.3, 0.45, 0.6, 0.75) * 2:
+            g = rand_graph(rng, n, p)
+            omega, clique = ref_clique_number(g)
+            upper = max(ref_greedy_coloring(g))
+            for k in range(1, upper + 1):
+                want = ref_k_colorable(g, k, clique)
+                assert _k_colorable(g, k, clique, None) == want, (g, k)
+                hard += want is None and k >= omega
+    assert hard >= 10  # some searches prove a k >= omega infeasible
 
 
 def test_detectors_triangles_and_induced_match_reference():

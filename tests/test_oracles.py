@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from twoomega.graphs import bitmask, complete, cycle, first_edge_in, induced
+from twoomega.graphs import complete, cycle, first_edge_in, induced
 from twoomega.oracles import (
     Coloring,
     chromatic_number,
@@ -15,6 +15,7 @@ from twoomega.witnesses import groetzsch, mycielskian, schlafli_complement
 
 from conftest import (
     all_graphs,
+    coin_submask,
     graph_strategy,
     naive_chromatic,
     naive_clique_number,
@@ -141,12 +142,21 @@ def test_omega_le_chi(rng):
 @given(graph_strategy(max_n=7))
 @settings(max_examples=40, deadline=None)
 def test_monotonicity_under_induced(g):
-    import random
-
-    sub = bitmask(v for v in range(g.n) if random.Random(hash((g.adj, 7))).random() < 0.6)
-    h = induced(g, sub)
+    h = induced(g, coin_submask(g, 7))
     assert chromatic_number(h).chi <= chromatic_number(g).chi
     assert clique_number(h)[0] <= clique_number(g)[0]
+
+
+def test_coin_submask_draws_proper_subsets(rng):
+    # the monotonicity tests compare a host with a proper, non-empty induced
+    # subgraph on most draws, not with itself or with the empty graph
+    proper = 0
+    for _ in range(500):
+        g = rand_graph(rng, rng.randrange(4, 8), 0.5)
+        sub = coin_submask(g, 7)
+        assert sub & ~g.full_mask == 0
+        proper += 0 < sub < g.full_mask
+    assert proper > 400
 
 
 def test_mycielskian_chromatic_steps():

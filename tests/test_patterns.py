@@ -2,7 +2,7 @@ from itertools import permutations
 
 from hypothesis import given, settings
 
-from twoomega.graphs import Graph, bitmask, complete, cycle, induced, path, union
+from twoomega.graphs import Graph, complete, cycle, induced, path, union
 from twoomega.patterns import (
     PATTERNS,
     ClassReport,
@@ -25,6 +25,7 @@ from conftest import (
     FIXTURE_PATTERNS,
     all_graphs,
     automorphisms,
+    coin_submask,
     count_induced,
     graph_strategy,
     induced_isomorphic,
@@ -200,10 +201,7 @@ def test_first_present_picks_the_first_pattern_present():
 @given(graph_strategy(max_n=7))
 @settings(max_examples=40, deadline=None)
 def test_freeness_monotone_under_induced(g):
-    import random
-
-    sub = bitmask(v for v in range(g.n) if random.Random(hash(g.adj)).random() < 0.6)
-    h = induced(g, sub)
+    h = induced(g, coin_submask(g))
     for pid in ("p3", "k3", "p3up2", "c4"):
         p = ALL_PATTERNS[pid]
         if has_induced(h, p):

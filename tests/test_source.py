@@ -2,6 +2,8 @@
 (the test environment has no linter)."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -135,3 +137,13 @@ def test_unread_definitions_detected():
 def test_every_definition_is_read(path):
     others = [p.read_text() for p in READERS if p != path]
     assert unread_definitions(path.read_text(), others) == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # a cold `twoomega color` pays for every module the package imports;
+    # dataclasses (which pulls in inspect) cost about 10 ms of that
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, twoomega.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
