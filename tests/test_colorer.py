@@ -1,10 +1,15 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
 
 from twoomega.colorer import (
     BudgetViolation,
     NotInClass,
     PartStrategy,
     StrategyPreconditionFailed,
+    _pair_split,
+    _split_by_hits,
     certificate_to_json,
     check_certificate,
     color_bounded,
@@ -27,7 +32,7 @@ from twoomega.oracles import chromatic_number
 from twoomega.patterns import PATTERNS, class_membership
 from twoomega.witnesses import groetzsch
 
-from conftest import all_graphs, rand_graph, validate_coloring
+from conftest import all_graphs, graph_strategy, rand_graph, validate_coloring
 
 
 def h3_host() -> Graph:
@@ -428,6 +433,63 @@ def test_execute_part_budget_violation():
         execute_part(complete(4), 0b1111, PartStrategy("exact_with_budget", 3), 1)
     with pytest.raises(BudgetViolation):
         execute_part(complete(3), 0b111, PartStrategy("cliques", 2), 1)
+
+
+# -- vertex-set splits --------------------------------------------------------
+
+
+def check_pair_split(g: Graph, a: int, b: int):
+    only_a, only_b, common, m = _pair_split(g, a, b)
+    na, nb = g.adj[a], g.adj[b]
+    pair = 1 << a | 1 << b
+    # the two formulas the split replaces: (N(a) - b, N(b) - N[a], M({a, b}))
+    # and (N(a) - N[b], N(b) - N[a], N(a) & N(b))
+    assert (only_a | common, only_b, m) == (
+        na & ~pair, nb & ~(na | pair), g.full_mask & ~(na | nb | pair))
+    assert (only_a, only_b, common) == (na & ~(nb | 1 << b), nb & ~(na | 1 << a), na & nb)
+    # the set definitions, vertex by vertex
+    for v in range(g.n):
+        adj_a, adj_b = g.has_edge(v, a), g.has_edge(v, b)
+        assert only_a >> v & 1 == (adj_a and not adj_b and v != b)
+        assert only_b >> v & 1 == (adj_b and not adj_a and v != a)
+        assert common >> v & 1 == (adj_a and adj_b)
+        assert m >> v & 1 == (v not in (a, b) and not adj_a and not adj_b)
+
+
+def test_pair_split_matches_definitions_exhaustively():
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            for a in range(n):
+                for b in range(n):
+                    if a != b:
+                        check_pair_split(g, a, b)
+
+
+@given(graph_strategy())
+@settings(max_examples=60, deadline=None)
+def test_pair_split_matches_definitions(g):
+    for a, b in combinations(range(g.n), 2):
+        check_pair_split(g, a, b)
+        check_pair_split(g, b, a)
+
+
+def test_triangle_split_matches_brute_force():
+    # H1's split of V - S by hits in S: M(S), the one- and two-hit tips,
+    # and the vertices complete to S
+    for n in range(3, 6):
+        for g in all_graphs(n):
+            for s in combinations(range(n), 3):
+                s_mask = bitmask(s)
+                split = _split_by_hits(g, g.full_mask & ~s_mask, s_mask)
+                expect = [0, 0, 0, 0]
+                for v in range(n):
+                    if v not in s:
+                        expect[sum(g.has_edge(v, t) for t in s)] |= 1 << v
+                assert split == expect
+                n_s = bitmask(v for v in range(n) if v not in s
+                              and any(g.has_edge(v, t) for t in s))
+                assert split[0] == g.full_mask & ~(s_mask | n_s)
+                assert split[3] == g.adj[s[0]] & g.adj[s[1]] & g.adj[s[2]]
 
 
 # -- symbolic budget sums ------------------------------------------------------

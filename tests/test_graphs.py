@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 
+from twoomega.colorer import _split_by_hits
 from twoomega.graphs import (
     Graph,
     GraphParseError,
@@ -46,13 +47,19 @@ def test_neighbors_out_of_range():
         complete(3).neighbors(-1)
 
 
+def m_set(g: Graph, x: int) -> int:
+    """M(X), the vertices outside X with no neighbor in X, as the colorer
+    takes it: the vertices of V - X that hit X zero times."""
+    return _split_by_hits(g, g.full_mask & ~x, x)[0]
+
+
 def test_non_neighborhood_examples():
-    assert complete(5).non_neighborhood(bitmask([0])) == 0
-    assert cycle(5).non_neighborhood(bitmask([0])) == bitmask([2, 3])
+    assert m_set(complete(5), bitmask([0])) == 0
+    assert m_set(cycle(5), bitmask([0])) == bitmask([2, 3])
     p3up2 = union(path(3), path(2))
-    assert p3up2.non_neighborhood(bitmask([0, 1, 2])) == bitmask([3, 4])
+    assert m_set(p3up2, bitmask([0, 1, 2])) == bitmask([3, 4])
     # closed variant adds X back
-    assert cycle(5).non_neighborhood(bitmask([0])) | bitmask([0]) == bitmask([0, 2, 3])
+    assert m_set(cycle(5), bitmask([0])) | bitmask([0]) == bitmask([0, 2, 3])
 
 
 def test_join_w4():
@@ -87,7 +94,7 @@ def test_join_union_count_formulas(rng):
 def test_closed_neighborhood_partitions(g):
     for v in range(g.n):
         nv_closed = g.closed_neighborhood(v)
-        mv = g.non_neighborhood(1 << v)
+        mv = m_set(g, 1 << v)
         assert nv_closed & mv == 0
         assert nv_closed | mv == g.full_mask
 
@@ -97,7 +104,7 @@ def test_closed_neighborhood_partitions(g):
 def test_non_neighborhood_anticomplete(g):
     for v in range(g.n):
         x = g.adj[v] | 1 << v  # arbitrary nonempty-ish set
-        m = g.non_neighborhood(x)
+        m = m_set(g, x)
         for u in bit_list(m):
             assert g.adj[u] & x == 0
 
@@ -182,15 +189,17 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError, match="self-loop at vertex 1"):
         Graph.from_edges(3, [(1, 1)])
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph.from_edges(3, [(2, 2), (1, 1)])  # the constructor reports the least
     with pytest.raises(ValueError, match="at least 3 vertices"):
         cycle(2)
-    with pytest.raises(ValueError, match="outside the graph"):
-        complete(3).neighborhood_of_set(0b1001)
+    with pytest.raises(ValueError, match="out of range"):
+        complete(3).closed_neighborhood(3)
     with pytest.raises(ValueError, match="out of range"):
         complete(3).has_edge(0, 3)
     with pytest.raises(ValueError, match="out of range"):
         induced(complete(3), 0b1001)
-    assert complete(3).neighborhood_of_set(0b001) == 0b110
+    assert complete(3).closed_neighborhood(0) & ~0b001 == 0b110
 
 
 def test_graph_is_slotted_and_frozen():
@@ -299,8 +308,11 @@ def test_graph6_malformed():
     except GraphParseError as exc:
         err = exc
     assert err is not None and err.offset == 1
-    with pytest.raises(GraphParseError):
-        graph6_decode(":Dhc")  # sparse6
+    # sparse6 and digraph6 prefixes fall outside the graph6 range
+    with pytest.raises(GraphParseError, match="character ':' outside graph6 range"):
+        graph6_decode(":Dhc")
+    with pytest.raises(GraphParseError, match="character '&' outside graph6 range"):
+        graph6_decode("&Dhc")
 
 
 @pytest.mark.parametrize("text,message", [

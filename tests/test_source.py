@@ -97,17 +97,22 @@ def test_every_catalog_pattern_is_read():
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def read_name(node: ast.AST) -> str | None:
+    """The name a node reads, as a variable or as an attribute."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
 def reads(tree: ast.Module) -> list[tuple[str, str | None]]:
     """(name, owner) for every name a module reads, as a variable or as an
     attribute; owner is the top-level definition holding the read, if any."""
     out = []
     for top in tree.body:
         owner = top.name if isinstance(top, DEFINITIONS) else None
-        for n in ast.walk(top):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                out.append((n.id, owner))
-            elif isinstance(n, ast.Attribute):
-                out.append((n.attr, owner))
+        out += [(name, owner) for n in ast.walk(top) if (name := read_name(n))]
     return out
 
 
@@ -133,10 +138,42 @@ def test_unread_definitions_detected():
     assert unread_definitions(source, ["import m\nm.g()\n"]) == ["B", "f", "h"]
 
 
+def unread_methods(source: str, others: list[str]) -> list[str]:
+    """Methods and properties of the top-level classes of ``source``, as
+    Class.name, that neither another part of it nor any of ``others`` reads;
+    a read inside the method's own body does not count, and dunders are
+    exempt (the interpreter calls them)."""
+    tree = ast.parse(source)
+    outside = {name for text in others for name, _ in reads(ast.parse(text))}
+    out = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for m in [m for m in cls.body if isinstance(m, DEFINITIONS[:2])]:
+            if m.name.startswith("__") and m.name.endswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(m)}
+            here = {read_name(n) for n in ast.walk(tree) if id(n) not in own}
+            if m.name not in outside and m.name not in here:
+                out.append(f"{cls.name}.{m.name}")
+    return out
+
+
+def test_unread_methods_detected():
+    source = (
+        "class A:\n    def __eq__(self, o):\n        return self.f()\n"
+        "    def f(self):\n        return 1\n    def g(self):\n        return self.g()\n"
+        "    @property\n    def p(self):\n        return 2\n    @staticmethod\n"
+        "    def s():\n        pass\n    def _h(self):\n        pass\n"
+    )
+    assert unread_methods(source, ["import m\nm.A.s()\n"]) == ["A.g", "A.p", "A._h"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_definition_is_read(path):
     others = [p.read_text() for p in READERS if p != path]
-    assert unread_definitions(path.read_text(), others) == []
+    source = path.read_text()
+    assert unread_definitions(source, others) + unread_methods(source, others) == []
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
