@@ -332,7 +332,7 @@ def graph6_decode(text: str) -> Graph:
     if not s:
         raise GraphParseError("empty graph6 string")
     for i, ch in enumerate(s):
-        if ch != "~" and not 63 <= ord(ch) <= 126:
+        if not 63 <= ord(ch) <= 126:
             raise GraphParseError(f"character {ch!r} outside graph6 range 63..126", i)
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":

@@ -3,7 +3,7 @@
 The catalog is a fixed table of the 16 patterns the package reads: the
 class's forbidden graphs p3up2 and w4, the colorer's band triggers and
 the c4 and c5 of its proof checks.  Detection is one exhaustive search
-loop over injective maps, pruned by degrees and per-level bitmask
+loop over injective maps, pruned by degree windows and per-level bitmask
 candidate filtering; its one per-graph fact, the degree-threshold masks
 (``host_facts``), is built once and shared by several searches on one
 graph.  Each search level draws its candidates from one of a few vertex
@@ -14,6 +14,16 @@ uses a plan compiled once per pattern: most-constrained vertex first,
 with the pattern's automorphisms broken by ordering conditions on the
 images.  The automorphisms are the pattern's induced embeddings into
 itself, found by the same search.
+
+The degree window: in a k-vertex pattern, a vertex of degree d has
+q = k - 1 - d non-neighbours.  In an induced copy its image is adjacent to
+the d images of its neighbours and non-adjacent to the q images of its
+non-neighbours, all distinct host vertices, so in an n-vertex host the
+image's degree lies between d and n - 1 - q.  A host vertex outside that
+window is the image of that vertex in no induced copy, so dropping it
+removes no map the search would yield: the embeddings, their order and
+every answer stay the same.  (The upper end holds for induced copies
+only; a subgraph search could not use it.)
 
 A pattern with a triangle also gets a rooted plan: one of its triangles
 is the root, in each orientation its automorphisms do not identify, and
@@ -131,14 +141,17 @@ def host_facts(g: Graph) -> list[int]:
 
 def _levels(p: Graph, order, below) -> tuple:
     """Unrooted search levels placing p's vertices in ``order``: per level,
-    class code 0 (the whole host), the vertex's degree, the earlier levels
-    it is adjacent and non-adjacent to, and the earlier levels whose image
-    must be smaller than its own."""
+    class code 0 (the whole host), the vertex's degree window as its degree
+    d and its non-neighbour count q = p.n - 1 - d (an image's degree lies
+    between d and n - 1 - q in an n-vertex host), the earlier levels it is
+    adjacent and non-adjacent to, and the earlier levels whose image must
+    be smaller than its own."""
     levels = []
     for i, v in enumerate(order):
+        degree = p.adj[v].bit_count()
         adj_prev = tuple(j for j in range(i) if p.adj[v] >> order[j] & 1)
         non_prev = tuple(j for j in range(i) if not p.adj[v] >> order[j] & 1)
-        levels.append((0, p.adj[v].bit_count(), adj_prev, non_prev, tuple(below[i])))
+        levels.append((0, degree, p.n - 1 - degree, adj_prev, non_prev, tuple(below[i])))
     return tuple(levels)
 
 
@@ -183,10 +196,12 @@ def _rooted_plan(p: Graph, group: list) -> tuple | None:
     distinct under the automorphisms of p that fix t as a set.  Per
     orientation, the plan holds the mask of hit codes it needs and one
     level per remaining vertex, in presence order: its hit code (bit s set
-    when it is adjacent to the root vertex in slot s), its degree, the
-    earlier remaining levels it is adjacent and non-adjacent to, and those
-    whose image must be smaller than its own: the levels of ``_search``,
-    with the hit code as class code."""
+    when it is adjacent to the root vertex in slot s), its degree window
+    (degree d and non-neighbour count q, both counted in all of p, root
+    included, so the window bounds the image's degree in the whole host),
+    the earlier remaining levels it is adjacent and non-adjacent to, and
+    those whose image must be smaller than its own: the levels of
+    ``_search``, with the hit code as class code."""
     tris = [
         t for t in combinations(range(p.n), 3)
         if all(p.adj[u] >> w & 1 for u, w in combinations(t, 2))
@@ -213,11 +228,12 @@ def _rooted_plan(p: Graph, group: list) -> tuple | None:
             (
                 sum(1 << slot[j] for j in adj_prev if j < 3),
                 degree,
+                q,
                 tuple(j - 3 for j in adj_prev if j >= 3),
                 tuple(j - 3 for j in non_prev if j >= 3),
                 tuple(j - 3 for j in below),
             )
-            for _, degree, adj_prev, non_prev, below in rest
+            for _, degree, q, adj_prev, non_prev, below in rest
         )
         plan.append((bitmask(level[0] for level in levels), levels))
     return tuple(plan)
@@ -239,9 +255,18 @@ def _search(g: Graph, levels: tuple, classes: tuple[int, ...], facts: list[int] 
     levels' vertices injectively on g with the levels' adjacency,
     non-adjacency and ordering constraints, least candidate first.  A
     level with class code ``code`` places its vertex in ``classes[code]``;
-    unrooted levels all have code 0 and take ``(g.full_mask,)``."""
+    unrooted levels all have code 0 and take ``(g.full_mask,)``.  Rooted
+    levels take a host triangle's eight hit classes and leave out the
+    pattern's three root vertices.
+
+    Each level's candidates also lie in its degree window: in ``deg_ge[d]``
+    and outside ``deg_ge[n - q]`` (the vertices with fewer than q
+    non-neighbours); no image of an induced copy lies outside it.  A
+    pattern with more vertices than g has no copy; ruling that out once
+    per call keeps every q below n, so no window index falls under 1."""
+    n = g.n
     k = len(levels)
-    if k > g.n:
+    if k + 3 * (len(classes) == 8) > n:
         return
     if not k:
         yield ()
@@ -252,7 +277,8 @@ def _search(g: Graph, levels: tuple, classes: tuple[int, ...], facts: list[int] 
     img = [0] * k
     cand = [0] * k
     used = 0
-    cand[0] = classes[levels[0][0]] & deg_ge[levels[0][1]]
+    code, degree, q = levels[0][:3]
+    cand[0] = classes[code] & deg_ge[degree] & ~deg_ge[n - q]
     level = 0
     while level >= 0:
         c = cand[level]
@@ -269,8 +295,8 @@ def _search(g: Graph, levels: tuple, classes: tuple[int, ...], facts: list[int] 
             continue
         used |= b
         level += 1
-        code, degree, adj_prev, non_prev, below = levels[level]
-        m = classes[code] & deg_ge[degree] & ~used
+        code, degree, q, adj_prev, non_prev, below = levels[level]
+        m = classes[code] & deg_ge[degree] & ~(used | deg_ge[n - q])
         for j in adj_prev:
             m &= adj[img[j]]
         for j in non_prev:

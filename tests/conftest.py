@@ -218,6 +218,31 @@ def count_induced(g: Graph, p: Pattern) -> int:
     return count
 
 
+def least_embedding(g: Graph, p: Pattern) -> tuple[int, ...] | None:
+    """The least induced embedding of p in g, as its image tuple: plain
+    backtracking over p's vertices in index order with host vertices
+    ascending, each checked against the placed ones and nothing else, so
+    the first complete map is the least of all injective maps that are
+    induced embeddings."""
+    img: list[int] = []
+
+    def extend() -> bool:
+        i = len(img)
+        if i == p.order:
+            return True
+        for w in range(g.n):
+            if w not in img and all(
+                (p.graph.adj[i] >> j & 1) == (g.adj[w] >> img[j] & 1) for j in range(i)
+            ):
+                img.append(w)
+                if extend():
+                    return True
+                img.pop()
+        return False
+
+    return tuple(img) if extend() else None
+
+
 # The colorer's dispatch as it was before presence gating: every row of the
 # band runs its full lexicographic probe, in the paper's order, and the first
 # row with an anchor fires.

@@ -2,13 +2,15 @@ from itertools import permutations
 
 from hypothesis import given, settings
 
-from twoomega.graphs import Graph, complete, cycle, induced, path, union
+from twoomega.graphs import Graph, complement, complete, cycle, empty_graph, induced, path, union
 from twoomega.patterns import (
     PATTERNS,
     ClassReport,
+    Pattern,
     PatternEmbedding,
     _has_p3up2,
     _has_w4,
+    _hit_classes,
     _plan,
     _search,
     class_membership,
@@ -29,6 +31,7 @@ from conftest import (
     count_induced,
     graph_strategy,
     induced_isomorphic,
+    least_embedding,
     petersen,
     rand_graph,
     verify_embedding,
@@ -196,6 +199,64 @@ def test_first_present_picks_the_first_pattern_present():
     assert first_present(g, band[2:])[0] == 0
     assert first_present(g, band[3:]) == (2, 0b11)
     assert first_present(complete(2), band) == (5, 0)
+
+
+def test_degree_window_on_dense_hosts(rng):
+    # dense hosts, where the degree windows drop vertices with too few
+    # non-neighbours: G(n, p) for n = 8..11 and p in {0.85, 0.95}, and the
+    # complements of sparse graphs; every search still answers as the
+    # oracles do, the lexicographic one with the least embedding
+    hosts = [rand_graph(rng, n, p) for n in range(8, 12) for p in (0.85, 0.95)]
+    hosts += [complement(rand_graph(rng, n, 0.15)) for n in range(8, 12)]
+    # a universal vertex lies outside the window of every pattern vertex
+    # with a non-neighbour
+    assert sum(host_facts(g)[g.n - 1] != 0 for g in hosts) >= 6
+    for g in hosts:
+        facts = host_facts(g)
+        for p in ALL_PATTERNS.values():
+            present = count_induced(g, p) > 0
+            emb = find_induced(g, p, facts)
+            assert (None if emb is None else emb.map) == least_embedding(g, p), p.id
+            assert has_induced(g, p, facts) == present, p.id
+            if _plan(p)[2] is not None:
+                assert (first_present(g, rooted_plans([p]), facts)[0] == 0) == present, p.id
+
+
+class NonNegativeIndex(list):
+    """Degree-threshold masks that refuse a negative index, which would
+    otherwise wrap round to the top thresholds."""
+
+    def __getitem__(self, i):
+        if i < 0:
+            raise IndexError(f"negative index {i} into the degree-threshold masks")
+        return super().__getitem__(i)
+
+
+def test_rooted_plans_on_hosts_smaller_than_the_pattern():
+    # K3, K4 and K4 + K1 against the omega = 3 and omega = 4 band plans,
+    # whose triggers mostly have more vertices than the host: the band
+    # answers its first trigger that count_induced finds (only k1uk3, in
+    # K4 + K1), every larger trigger is absent, and no degree window
+    # indexes the masks below 0
+    from twoomega.colorer import _BANDS, _band_plans
+
+    for g in (complete(3), complete(4), union(complete(4), empty_graph(1))):
+        facts = NonNegativeIndex(host_facts(g))
+        for band in (2, 3):
+            triggers = [PATTERNS[row[1]] for row in _BANDS[band][:-1]]
+            present = [count_induced(g, p) > 0 for p in triggers]
+            first = present.index(True) if any(present) else len(triggers)
+            assert first_present(g, _band_plans(band), facts)[0] == first
+            for p, found in zip(triggers, present):
+                assert (first_present(g, rooted_plans([p]), facts)[0] == 0) == found, p.id
+                assert not found or p.order <= g.n, p.id
+    # first_present skips a plan that needs an empty hit class, so a search
+    # on K3 itself shows the check: a triangle plus three isolated vertices
+    # has levels with q = 5, and n - q would be -2
+    g = complete(3)
+    p = Pattern("k3u3k1", union(complete(3), empty_graph(3)))
+    for _, levels in _plan(p)[2]:
+        assert next(_search(g, levels, _hit_classes(g, 0, 1, 2), NonNegativeIndex(host_facts(g))), None) is None
 
 
 @given(graph_strategy(max_n=7))

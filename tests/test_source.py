@@ -140,11 +140,13 @@ def test_unread_definitions_detected():
 
 def unread_methods(source: str, others: list[str]) -> list[str]:
     """Methods and properties of the top-level classes of ``source``, as
-    Class.name, that neither another part of it nor any of ``others`` reads;
-    a read inside the method's own body does not count, and dunders are
-    exempt (the interpreter calls them)."""
+    Class.name, that neither another part of it nor any of ``others`` reads
+    as an attribute (``x.name``); a bare name is a variable or function, not
+    the method, and a read inside the method's own body does not count.
+    Dunders are exempt (the interpreter calls them)."""
     tree = ast.parse(source)
-    outside = {name for text in others for name, _ in reads(ast.parse(text))}
+    outside = {n.attr for text in others for n in ast.walk(ast.parse(text))
+               if isinstance(n, ast.Attribute)}
     out = []
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef):
@@ -153,7 +155,7 @@ def unread_methods(source: str, others: list[str]) -> list[str]:
             if m.name.startswith("__") and m.name.endswith("__"):
                 continue
             own = {id(n) for n in ast.walk(m)}
-            here = {read_name(n) for n in ast.walk(tree) if id(n) not in own}
+            here = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and id(n) not in own}
             if m.name not in outside and m.name not in here:
                 out.append(f"{cls.name}.{m.name}")
     return out
@@ -167,6 +169,9 @@ def test_unread_methods_detected():
         "    def s():\n        pass\n    def _h(self):\n        pass\n"
     )
     assert unread_methods(source, ["import m\nm.A.s()\n"]) == ["A.g", "A.p", "A._h"]
+    # a function or variable of the same name, here or elsewhere, is not a read
+    shadows = "def p():\n    return 3\n_h = p()\ng = _h\n"
+    assert unread_methods(source + shadows, [shadows, "import m\nm.A.s()\n"]) == ["A.g", "A.p", "A._h"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
