@@ -27,6 +27,8 @@ from .graphs import (
     bit_list,
     bitmask,
     bits,
+    c4_in,
+    c5_in,
     clique_components,
     first_edge_in,
     induced,
@@ -127,16 +129,14 @@ class CheckResult(NamedTuple):
 
 # -- vertex-set splits --------------------------------------------------------
 #
-# Generic questions about G[X] (an edge, a triangle, clique components) are
-# answered by the helpers in ``graphs``; the splits below are the ones the
-# proof's case analysis keeps reusing.
-
-
-def _pattern_free_in(g: Graph, mask: int, *pids: str) -> bool:
-    """G[mask] contains none of the named patterns as an induced subgraph."""
-    sub = induced(g, mask)
-    facts = host_facts(sub)
-    return not any(has_induced(sub, PATTERNS[pid], facts) for pid in pids)
+# Generic questions about G[X] (an edge, a triangle, clique components, an
+# induced c4 or c5) are answered on the mask X by the helpers in ``graphs``;
+# the splits below are the ones the proof's case analysis keeps reusing.
+# Membership uses the same helpers.  G has an induced p3up2 iff some edge
+# xy has an induced p3 in M({x, y}), the fact that the ``clique_components``
+# checks of G2, G3, H2 and J1 test for one pair.  G has an induced w4 iff
+# some N(h) has an induced c4, as tested by ``c4_in`` in the checks of G1
+# and H5 and in ``_k3_c4_free``.
 
 
 def _max_clique_in(g: Graph, mask: int) -> tuple[int, int]:
@@ -149,7 +149,7 @@ def _max_clique_in(g: Graph, mask: int) -> tuple[int, int]:
 
 
 def _k3_c4_free(g: Graph, mask: int) -> bool:
-    return least_triangle_in(g, mask) is None and _pattern_free_in(g, mask, "c4")
+    return least_triangle_in(g, mask) is None and not c4_in(g, mask)
 
 
 def _pair_split(g: Graph, a: int, b: int) -> tuple[int, int, int, int]:
@@ -316,7 +316,7 @@ def _branch_g1(g, omega, anchor):
         ("rim-pair-cover-classes-independent", True,
          lambda: all(first_edge_in(g, c) is None for _, c in classes)),
         ("hub-neighborhood-c4-free", False,
-         lambda: _pattern_free_in(g, n_hub, "c4")),
+         lambda: not c4_in(g, n_hub)),
         ("hub-neighborhood-omega", False,
          lambda: _max_clique_in(g, n_hub)[0] <= omega - 1),
     ]
@@ -357,8 +357,10 @@ def _branch_g2(g, omega, anchor):
          lambda: cn_size + c2_size <= omega + 1),
         ("sub-budgets <= omega+1", True,
          lambda: cn_size + budget_m <= omega + 1),
-        ("n_u1-c4-c5-free", False, lambda: _pattern_free_in(g, g.adj[u1], "c4", "c5")),
-        ("n_u2-c4-c5-free", False, lambda: _pattern_free_in(g, g.adj[u2], "c4", "c5")),
+        ("n_u1-c4-c5-free", False,
+         lambda: not c4_in(g, g.adj[u1]) and not c5_in(g, g.adj[u1])),
+        ("n_u2-c4-c5-free", False,
+         lambda: not c4_in(g, g.adj[u2]) and not c5_in(g, g.adj[u2])),
     ]
     return parts, checks
 
@@ -378,8 +380,10 @@ def _branch_g3(g, omega, anchor):
     checks = [
         ("pair-non-neighborhood-p3-k3-free", True,
          lambda: clique_components(g, mm) is not None and least_triangle_in(g, mm) is None),
-        ("n_u1-c4-c5-free", False, lambda: _pattern_free_in(g, g.adj[u1], "c4", "c5")),
-        ("n_u2-c4-c5-free", False, lambda: _pattern_free_in(g, g.adj[u2], "c4", "c5")),
+        ("n_u1-c4-c5-free", False,
+         lambda: not c4_in(g, g.adj[u1]) and not c5_in(g, g.adj[u1])),
+        ("n_u2-c4-c5-free", False,
+         lambda: not c4_in(g, g.adj[u2]) and not c5_in(g, g.adj[u2])),
     ]
     return parts, checks
 
@@ -506,7 +510,7 @@ def _branch_h5(g, omega, anchor):
     checks = [
         ("non-neighbors-miss-u2-or-u3", True, lambda: overlap == 0),
         ("n_apex-c4-free-omega3", False,
-         lambda: _pattern_free_in(g, nv, "c4") and _max_clique_in(g, nv)[0] <= 3),
+         lambda: not c4_in(g, nv) and _max_clique_in(g, nv)[0] <= 3),
         ("m-not-u3-bipartite", False,
          lambda: two_coloring(induced(g, mv & ~g.adj[u3]))[0] is not None),
     ]
@@ -615,7 +619,7 @@ def _branch_j7(g, omega, anchor):
             "isolated split: k1uk3-free remainder with a triangle")
         checks = [
             ("remainder-k1uk3-free", False,
-             lambda: _pattern_free_in(g, rest, "k1uk3")),
+             lambda: not has_induced(induced(g, rest), PATTERNS["k1uk3"])),
         ]
         return [("all", g.full_mask, strat)], checks
     nv = g.adj[v]

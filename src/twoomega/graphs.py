@@ -287,6 +287,76 @@ def clique_components(g: Graph, mask: int) -> list[int] | None:
     return out
 
 
+def c4_in(g: Graph, mask: int) -> bool:
+    """Whether G[mask] has an induced c4.
+
+    It has one iff two non-adjacent x, z of mask have two non-adjacent
+    common neighbors y, w in mask (the c4 x-y-z-w).  Common neighborhoods
+    repeat: in a blow-up, x and z from two given twin classes always have
+    the same one.  So the last one found to be a clique is remembered and
+    an identical set is skipped; a clique stays a clique, so the skip
+    loses no c4."""
+    adj = g.adj
+    clique = -1  # the last common neighborhood found to be a clique
+    rx = mask
+    while rx:
+        lx = rx & -rx
+        rx ^= lx  # now the vertices of mask above x
+        ax = adj[lx.bit_length() - 1]
+        rz = rx & ~ax
+        while rz:
+            lz = rz & -rz
+            rz ^= lz
+            cc = mask & ax & adj[lz.bit_length() - 1]
+            if cc == clique:
+                continue
+            rest = cc
+            while rest:
+                ly = rest & -rest
+                rest ^= ly  # now the common neighbors above y
+                if rest & ~adj[ly.bit_length() - 1]:
+                    return True
+            clique = cc
+    return False
+
+
+def c5_in(g: Graph, mask: int) -> bool:
+    """Whether G[mask] has an induced c5.
+
+    Name a c5 v0-v1-v2-v3-v4 from its least vertex v0, with v1 < v4: v1
+    and v4 are non-adjacent neighbors of v0, v2 lies in N(v1) - N[v4] and
+    v3 in N(v4) - N[v1], both outside N[v0], and v2v3 is an edge.  So all
+    five lie in mask above v0, and every c5 is found this way."""
+    adj = g.adj
+    r0 = mask
+    while r0:
+        l0 = r0 & -r0
+        r0 ^= l0  # now the vertices of mask above v0
+        a0 = adj[l0.bit_length() - 1]
+        far = r0 & ~a0
+        r1 = r0 & a0
+        while r1:
+            l1 = r1 & -r1
+            r1 ^= l1  # now v0's neighbors above v1
+            a1 = adj[l1.bit_length() - 1]
+            f1 = far & a1
+            r4 = r1 & ~a1 if f1 else 0
+            while r4:
+                l4 = r4 & -r4
+                r4 ^= l4
+                a4 = adj[l4.bit_length() - 1]
+                f4 = far & a4 & ~a1
+                if not f4:
+                    continue
+                x = f1 & ~a4
+                while x:
+                    lx = x & -x
+                    x ^= lx
+                    if adj[lx.bit_length() - 1] & f4:
+                        return True
+    return False
+
+
 # -- graph6 codec ---------------------------------------------------------
 #
 # Standard format: size prefix (one char for n <= 62, or '~' plus three

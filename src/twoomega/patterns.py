@@ -1,12 +1,11 @@
 """Catalog of small named graphs and induced-subgraph detection.
 
-The catalog is a fixed table of the 16 patterns the package reads: the
-class's forbidden graphs p3up2 and w4, the colorer's band triggers and
-the c4 and c5 of its proof checks.  Detection is one exhaustive search
-loop over injective maps, pruned by degree windows and per-level bitmask
-candidate filtering; its one per-graph fact, the degree-threshold masks
-(``host_facts``), is built once and shared by several searches on one
-graph.  Each search level draws its candidates from one of a few vertex
+The catalog is a fixed table of the 14 patterns the package reads: the
+class's forbidden graphs p3up2 and w4 and the colorer's band triggers.
+Detection is one exhaustive search loop over injective maps, pruned by
+degree windows and per-level bitmask candidate filtering; its one
+per-graph fact, the degree-threshold masks (``host_facts``), is built once
+and shared by several searches on one graph.  Each search level draws its candidates from one of a few vertex
 classes of the host.  ``find_induced`` places pattern vertices in index
 order, so its embedding is the lexicographically least image tuple and
 results are reproducible.  ``has_induced`` only answers yes or no, so it
@@ -16,9 +15,9 @@ images.  The automorphisms are the pattern's induced embeddings into
 itself, found by the same search.
 
 The degree window: in a k-vertex pattern, a vertex of degree d has
-q = k - 1 - d non-neighbours.  In an induced copy its image is adjacent to
-the d images of its neighbours and non-adjacent to the q images of its
-non-neighbours, all distinct host vertices, so in an n-vertex host the
+q = k - 1 - d non-neighbors.  In an induced copy its image is adjacent to
+the d images of its neighbors and non-adjacent to the q images of its
+non-neighbors, all distinct host vertices, so in an n-vertex host the
 image's degree lies between d and n - 1 - q.  A host vertex outside that
 window is the image of that vertex in no induced copy, so dropping it
 removes no map the search would yield: the embeddings, their order and
@@ -33,9 +32,22 @@ the host's triangles: each triangle's eight hit classes (the vertices
 adjacent to exactly a given subset of it) are the search's vertex
 classes, computed once, and every pattern still pending extends from them.
 
-The membership detectors for p3up2 and w4 are plain bit loops over the
-host's adjacency rows; they only answer yes or no, and ``class_membership``
-runs the lexicographic search for a pattern they find.
+The membership detectors answer yes or no from a local form of each
+forbidden graph, with the mask helpers of ``graphs`` that the colorer's
+proof checks also use:
+
+- G has an induced p3up2 iff some edge xy has an induced p3 in M({x, y}),
+  the vertices adjacent to neither.  The p2 of a copy is such an edge and
+  its p3 lies in M({x, y}); conversely, an induced p3 there and the edge
+  xy induce p3up2.  So ``_has_p3up2`` asks ``clique_components`` about
+  M({x, y}) for each edge with at least three vertices in M({x, y}).
+- G has an induced w4 iff some N(h) has an induced c4: the hub and its
+  rim.  So ``_has_w4`` asks ``c4_in`` about each N(h) with at least four
+  vertices.  ``c4_in`` skips a common neighborhood equal to the last one
+  it found to be a clique, which loses no c4, since a clique stays one.
+
+``class_membership`` runs the lexicographic search for a pattern they
+find, so no report depends on how a detector found its pattern.
 """
 
 from __future__ import annotations
@@ -47,6 +59,8 @@ from typing import NamedTuple
 from .graphs import (
     Graph,
     bitmask,
+    c4_in,
+    clique_components,
     complete,
     cycle,
     empty_graph,
@@ -100,8 +114,6 @@ def _f2() -> Graph:
 
 def _build_catalog() -> dict[str, Pattern]:
     table: dict[str, Graph] = {
-        "c4": cycle(4),
-        "c5": cycle(5),
         "p3up2": union(path(3), path(2)),
         "w4": join(empty_graph(1), cycle(4)),
         "w5": join(empty_graph(1), cycle(5)),
@@ -142,7 +154,7 @@ def host_facts(g: Graph) -> list[int]:
 def _levels(p: Graph, order, below) -> tuple:
     """Unrooted search levels placing p's vertices in ``order``: per level,
     class code 0 (the whole host), the vertex's degree window as its degree
-    d and its non-neighbour count q = p.n - 1 - d (an image's degree lies
+    d and its non-neighbor count q = p.n - 1 - d (an image's degree lies
     between d and n - 1 - q in an n-vertex host), the earlier levels it is
     adjacent and non-adjacent to, and the earlier levels whose image must
     be smaller than its own."""
@@ -197,7 +209,7 @@ def _rooted_plan(p: Graph, group: list) -> tuple | None:
     orientation, the plan holds the mask of hit codes it needs and one
     level per remaining vertex, in presence order: its hit code (bit s set
     when it is adjacent to the root vertex in slot s), its degree window
-    (degree d and non-neighbour count q, both counted in all of p, root
+    (degree d and non-neighbor count q, both counted in all of p, root
     included, so the window bounds the image's degree in the whole host),
     the earlier remaining levels it is adjacent and non-adjacent to, and
     those whose image must be smaller than its own: the levels of
@@ -261,7 +273,7 @@ def _search(g: Graph, levels: tuple, classes: tuple[int, ...], facts: list[int] 
 
     Each level's candidates also lie in its degree window: in ``deg_ge[d]``
     and outside ``deg_ge[n - q]`` (the vertices with fewer than q
-    non-neighbours); no image of an induced copy lies outside it.  A
+    non-neighbors); no image of an induced copy lies outside it.  A
     pattern with more vertices than g has no copy; ruling that out once
     per call keeps every q below n, so no window index falls under 1."""
     n = g.n
@@ -380,57 +392,24 @@ def first_present(
 
 
 def _has_p3up2(g: Graph) -> bool:
-    # An induced p3 a-b-c plus an edge inside M({a,b,c}).
+    # An edge xy with an induced p3 in M({x, y}).
     adj = g.adj
-    n = g.n
-    full = (1 << n) - 1
-    nclosed = [row | 1 << v for v, row in enumerate(adj)]
-    for b in range(n):
-        nb = adj[b]
-        ra = nb
-        while ra:
-            la = ra & -ra
-            ra ^= la  # now N(b) above a
-            a = la.bit_length() - 1
-            rc = ra & ~adj[a]
-            if not rc:
-                continue
-            out_ab = full & ~(nclosed[a] | nclosed[b])
-            while rc:
-                lc = rc & -rc
-                rc ^= lc
-                m = out_ab & ~nclosed[lc.bit_length() - 1]
-                while m:
-                    lw = m & -m
-                    m ^= lw  # now M({a,b,c}) above w
-                    if adj[lw.bit_length() - 1] & m:
-                        return True
+    full = g.full_mask
+    for x in range(g.n):
+        nx = adj[x] | 1 << x
+        ry = adj[x] & ~((2 << x) - 1)  # x's neighbors above x
+        while ry:
+            ly = ry & -ry
+            ry ^= ly
+            m = full & ~(nx | adj[ly.bit_length() - 1] | ly)
+            if m.bit_count() >= 3 and clique_components(g, m) is None:
+                return True
     return False
 
 
 def _has_w4(g: Graph) -> bool:
-    # A hub whose neighborhood contains an induced 4-cycle.
-    adj = g.adj
-    for h in range(g.n):
-        nh = adj[h]
-        if nh.bit_count() < 4:
-            continue
-        rx = nh
-        while rx:
-            lx = rx & -rx
-            rx ^= lx  # now N(h) above x
-            ax = adj[lx.bit_length() - 1]
-            rz = rx & ~ax
-            while rz:
-                lz = rz & -rz
-                rz ^= lz
-                cc = nh & ax & adj[lz.bit_length() - 1]
-                while cc:
-                    ly = cc & -cc
-                    cc ^= ly  # now the common neighbors above y
-                    if cc & ~adj[ly.bit_length() - 1]:
-                        return True
-    return False
+    # A hub whose neighborhood holds an induced c4.
+    return any(c4_in(g, row) for row in g.adj if row.bit_count() >= 4)
 
 
 def is_class_member(g: Graph) -> bool:

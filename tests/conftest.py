@@ -11,6 +11,7 @@ from twoomega.graphs import (
     bitmask,
     bits,
     complete,
+    cycle,
     empty_graph,
     induced,
     join,
@@ -24,8 +25,9 @@ from twoomega.patterns import PATTERNS, Pattern, PatternEmbedding
 # -- search-engine fixtures ---------------------------------------------------
 #
 # Small named graphs the package does not read, kept to exercise the search
-# engine on more shapes (long paths, big cliques, symmetric gadgets) than the
-# catalog's 16 patterns.  ALL_PATTERNS is what the whole-catalog tests check.
+# engine on more shapes (long paths, cycles, big cliques, symmetric gadgets)
+# than the catalog's 14 patterns.  ALL_PATTERNS is what the whole-catalog
+# tests check.
 
 
 def _hvn() -> Graph:
@@ -49,6 +51,8 @@ FIXTURE_PATTERNS: dict[str, Pattern] = {
         "k3": complete(3),
         "k4": complete(4),
         "k5": complete(5),
+        "c4": cycle(4),
+        "c5": cycle(5),
         "2k2": union(path(2), path(2)),
         "diamond": join(empty_graph(1), path(3)),
         "house": Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]),
@@ -70,6 +74,19 @@ def coin_submask(g: Graph, salt: int = 0, p: float = 0.6) -> int:
     Random seeded by g's rows and the salt, so the draw is reproducible."""
     rng = random.Random(hash((g.adj, salt)))
     return bitmask(v for v in range(g.n) if rng.random() < p)
+
+
+def clique_blowup(g: Graph, k: int) -> Graph:
+    """g with every vertex v replaced by the k-clique on k*v .. k*v + k - 1;
+    two vertices of different cliques are adjacent when their originals are."""
+    block = (1 << k) - 1
+    rows = []
+    for v, row in enumerate(g.adj):
+        out = 0
+        for u in bits(row):
+            out |= block << k * u
+        rows += [out | (block << k * v & ~(1 << k * v + i)) for i in range(k)]
+    return Graph(g.n * k, tuple(rows))
 
 
 def petersen() -> Graph:

@@ -32,7 +32,7 @@ from twoomega.oracles import chromatic_number
 from twoomega.patterns import PATTERNS, class_membership
 from twoomega.witnesses import groetzsch
 
-from conftest import all_graphs, graph_strategy, rand_graph, validate_coloring
+from conftest import all_graphs, clique_blowup, graph_strategy, rand_graph, validate_coloring
 
 
 def h3_host() -> Graph:
@@ -574,6 +574,17 @@ def test_structured_members_stress():
         hist[cert.trace.branch_id] += 1
     # the omega >= 5 branches must all have fired
     assert hist["G1"] > 0 and hist["G2"] > 0 and hist["G3"] > 0
+
+
+def test_c5_blowup_member_at_n200():
+    # C5[K40]: every hub's N(h) repeats one common neighborhood 1,600
+    # times, which the membership check and the G2 proof checks skip
+    g = clique_blowup(cycle(5), 40)
+    assert class_membership(g).member
+    cert = color_bounded(g, strict=True, assert_proofs=True)
+    assert cert.trace.branch_id == "G2"
+    assert "n_u1-c4-c5-free" in cert.trace.assertions
+    assert check_certificate(g, cert)
 
 
 def n7_members(count: int, seed: int = 606):

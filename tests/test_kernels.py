@@ -5,13 +5,15 @@ The golden certificate and scan digests reach the exact search in only a
 few members, so the search order of the solvers is pinned here on every
 graph with n <= 6, on seeded G(n, p) graphs with n = 7..14 and on both
 tightness witnesses; the exact colouring also on seeded G(n, p) graphs
-with n = 15..20."""
+with n = 15..20.  The membership detectors are also pinned on dense
+G(n, 0.9) draws and clique blow-ups, and the mask kernels ``c4_in`` and
+``c5_in`` against ``has_induced`` on the induced copy."""
 
 import random
 from functools import cache
 
 from twoomega.colorer import BranchTrace, ColoringCertificate, check_certificate
-from twoomega.graphs import induced, triangles
+from twoomega.graphs import c4_in, c5_in, cycle, induced, triangles
 from twoomega.oracles import (
     Coloring,
     _k_colorable,
@@ -19,11 +21,13 @@ from twoomega.oracles import (
     clique_number,
     greedy_coloring,
 )
-from twoomega.patterns import _has_p3up2, _has_w4
+from twoomega.patterns import _has_p3up2, _has_w4, has_induced
 from twoomega.witnesses import groetzsch, schlafli_complement
 
 from conftest import (
+    ALL_PATTERNS,
     all_graphs,
+    clique_blowup,
     rand_graph,
     ref_clique_number,
     ref_greedy_coloring,
@@ -103,6 +107,47 @@ def test_detectors_triangles_and_induced_match_reference():
             assert list(triangles(g, mask)) == ref_triangles(g, mask)
             h = induced(g, mask)
             assert (h.n, h.adj) == ref_induced_rows(g, mask)
+
+
+def test_detectors_match_reference_on_dense_draws_and_blowups():
+    # dense_sampling's regime, G(n, 0.9) with n = 13..16, where M({x, y})
+    # is small and some hub's N(h) almost always holds a c4; and C5[K_k], a
+    # member where every hub meets one common neighborhood k^2 times
+    rng = random.Random(20261020)
+    graphs = [rand_graph(rng, 13 + i % 4, 0.9) for i in range(2000)]
+    graphs += [clique_blowup(cycle(5), k) for k in range(2, 9)]
+    found = [0, 0]
+    for g in graphs:
+        got = _has_p3up2(g), _has_w4(g)
+        assert got == (ref_has_p3up2(g), ref_has_w4(g)), g
+        found[0] += got[0]
+        found[1] += got[1]
+    assert found[0] >= 5 and found[1] >= 1900
+    assert not any(_has_p3up2(g) or _has_w4(g) for g in graphs[2000:])
+
+
+def test_mask_kernels_match_has_induced():
+    # every graph with n <= 6 on its whole vertex set, then random masks of
+    # seeded G(n, p) with n = 5..16 and of 2-clique blow-ups of G(n, p) with
+    # n = 4..8, whose twins repeat common neighborhoods
+    c4, c5 = ALL_PATTERNS["c4"], ALL_PATTERNS["c5"]
+    cases = [(g, g.full_mask) for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(20261021)
+    for _ in range(3000):
+        n = rng.randrange(5, 17)
+        g = rand_graph(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8, 0.9)))
+        cases.append((g, rng.getrandbits(n)))
+    for _ in range(1000):
+        g = clique_blowup(rand_graph(rng, rng.randrange(4, 9), rng.choice((0.3, 0.5, 0.7))), 2)
+        cases.append((g, rng.getrandbits(g.n)))
+    found = [0, 0]
+    for g, mask in cases:
+        sub = induced(g, mask)
+        want = has_induced(sub, c4), has_induced(sub, c5)
+        assert (c4_in(g, mask), c5_in(g, mask)) == want, (g, mask)
+        found[0] += want[0]
+        found[1] += want[1]
+    assert min(found) > 2000
 
 
 def test_check_certificate_reports_reference_monochromatic_edge():
