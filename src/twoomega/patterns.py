@@ -27,10 +27,14 @@ only; a subgraph search could not use it.)
 A pattern with a triangle also gets a rooted plan: one of its triangles
 is the root, in each orientation its automorphisms do not identify, and
 every other vertex carries a hit code (the root vertices it is adjacent
-to).  ``first_present`` decides several such patterns in one pass over
-the host's triangles: each triangle's eight hit classes (the vertices
-adjacent to exactly a given subset of it) are the search's vertex
-classes, computed once, and every pattern still pending extends from them.
+to); each orientation also lists the hit codes its levels use.
+``first_present`` decides several such patterns in one pass over the
+host's triangles a < b < c.  The eight hit classes of a triangle (the
+vertices adjacent to exactly a given subset of it) are the search's
+vertex classes: per edge ab the walk splits the other vertices once by
+adjacency to a and b, and per c it cuts those four sets by N(c).  Every
+pattern still pending extends from them, each orientation only when all
+the classes it lists are nonempty.
 
 The membership detectors answer yes or no from a local form of each
 forbidden graph, with the mask helpers of ``graphs`` that the colorer's
@@ -66,7 +70,6 @@ from .graphs import (
     empty_graph,
     join,
     path,
-    triangles,
     union,
 )
 
@@ -206,14 +209,15 @@ def _rooted_plan(p: Graph, group: list) -> tuple | None:
     One triangle t of p is the root: the one with the fewest orientations,
     that is, maps of t onto a host triangle's slots (a, b, c), a < b < c,
     distinct under the automorphisms of p that fix t as a set.  Per
-    orientation, the plan holds the mask of hit codes it needs and one
-    level per remaining vertex, in presence order: its hit code (bit s set
-    when it is adjacent to the root vertex in slot s), its degree window
-    (degree d and non-neighbor count q, both counted in all of p, root
-    included, so the window bounds the image's degree in the whole host),
-    the earlier remaining levels it is adjacent and non-adjacent to, and
-    those whose image must be smaller than its own: the levels of
-    ``_search``, with the hit code as class code."""
+    orientation, the plan holds the hit codes its levels use, as a sorted
+    tuple (``first_present`` tests each of those classes for emptiness
+    before it searches), and one level per remaining vertex, in presence
+    order: its hit code (bit s set when it is adjacent to the root vertex
+    in slot s), its degree window (degree d and non-neighbor count q, both
+    counted in all of p, root included, so the window bounds the image's
+    degree in the whole host), the earlier remaining levels it is adjacent
+    and non-adjacent to, and those whose image must be smaller than its
+    own: the levels of ``_search``, with the hit code as class code."""
     tris = [
         t for t in combinations(range(p.n), 3)
         if all(p.adj[u] >> w & 1 for u, w in combinations(t, 2))
@@ -247,7 +251,7 @@ def _rooted_plan(p: Graph, group: list) -> tuple | None:
             )
             for _, degree, q, adj_prev, non_prev, below in rest
         )
-        plan.append((bitmask(level[0] for level in levels), levels))
+        plan.append((tuple(sorted({level[0] for level in levels})), levels))
     return tuple(plan)
 
 
@@ -337,21 +341,10 @@ def has_induced(g: Graph, p: Pattern, facts: list[int] | None = None) -> bool:
 # -- triangle-rooted presence ------------------------------------------------
 
 
-def _hit_classes(g: Graph, a: int, b: int, c: int) -> tuple[int, ...]:
-    """The vertices outside the triangle (a, b, c) by the slots they are
-    adjacent to: entry ``code`` holds those adjacent to exactly the slots
-    whose bits are set in code (bit 0 for a, 1 for b, 2 for c)."""
-    adj = g.adj
-    na, nb, nc = adj[a], adj[b], adj[c]
-    rest = g.full_mask & ~(1 << a | 1 << b | 1 << c)
-    x0, x1 = rest & ~na, rest & na
-    y0, y1, y2, y3 = x0 & ~nb, x1 & ~nb, x0 & nb, x1 & nb
-    return (y0 & ~nc, y1 & ~nc, y2 & ~nc, y3 & ~nc, y0 & nc, y1 & nc, y2 & nc, y3 & nc)
-
-
 def rooted_plans(patterns) -> tuple:
     """The rooted plans of ``patterns`` (each containing a triangle), the
-    form ``first_present`` takes them in."""
+    form ``first_present`` takes them in: per pattern, one (needed hit
+    codes, levels) pair per root orientation."""
     return tuple(_plan(p)[2] for p in patterns)
 
 
@@ -363,28 +356,58 @@ def first_present(
     and the vertices with a triangle in their non-neighborhood.
 
     Every copy maps its pattern's root triangle onto a host triangle, so
-    one pass over the host's triangles decides all the patterns: each
-    triangle's hit classes are computed once, and only the patterns ahead
-    of the first one found so far are tried from them."""
+    one pass over the host's triangles (a, b, c), a < b < c, in
+    lexicographic order decides all the patterns.  Per edge ab the walk
+    splits the other vertices once by adjacency to a and b; per c the
+    eight hit classes are those four sets cut by N(c) and its complement.
+    Only the patterns ahead of the first one found so far are tried, and an
+    orientation's search starts only when every hit class it needs is
+    nonempty: a level drawing from an empty class has no candidate."""
     facts = facts or host_facts(g)
+    adj = g.adj
+    full = g.full_mask
     best = len(plans)
     k1 = 0
-    for a, b, c in triangles(g, g.full_mask):
-        classes = _hit_classes(g, a, b, c)
-        k1 |= classes[0]
-        empty = 0  # the hit codes whose class is empty
-        for code, cls in enumerate(classes):
-            if not cls:
-                empty |= 1 << code
-        for i in range(best):
-            for need, levels in plans[i]:
-                if not need & empty and next(_search(g, levels, classes, facts), None) is not None:
-                    best = i
-                    break
-            if best == i:
-                break
-        if not best:
-            break
+    above_a = full
+    while above_a:
+        la = above_a & -above_a
+        above_a ^= la
+        na = adj[la.bit_length() - 1]
+        above_b = na & above_a
+        while above_b:
+            lb = above_b & -above_b
+            above_b ^= lb
+            nb = adj[lb.bit_length() - 1]
+            # The vertices other than a and b adjacent to neither, to a
+            # only, to b only and to both (a lies in N(b), b in N(a)).
+            neither = full & ~(na | nb)
+            a_only = na & ~nb & ~lb
+            b_only = nb & ~na & ~la
+            both = na & nb
+            cs = both & above_b
+            while cs:
+                lc = cs & -cs
+                cs ^= lc
+                nc = adj[lc.bit_length() - 1]
+                off = ~nc
+                classes = (
+                    neither & off, a_only & off, b_only & off, both & off & ~lc,
+                    neither & nc, a_only & nc, b_only & nc, both & nc,
+                )
+                k1 |= classes[0]
+                for i in range(best):
+                    for need, levels in plans[i]:
+                        for code in need:
+                            if not classes[code]:
+                                break
+                        else:
+                            if next(_search(g, levels, classes, facts), None) is not None:
+                                best = i
+                                break
+                    if best == i:
+                        break
+                if not best:
+                    return best, k1
     return best, k1
 
 

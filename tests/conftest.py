@@ -16,10 +16,11 @@ from twoomega.graphs import (
     induced,
     join,
     path,
+    triangles,
     union,
 )
 from twoomega.oracles import Coloring
-from twoomega.patterns import PATTERNS, Pattern, PatternEmbedding
+from twoomega.patterns import PATTERNS, Pattern, PatternEmbedding, _search
 
 
 # -- search-engine fixtures ---------------------------------------------------
@@ -456,6 +457,45 @@ def ref_triangles(g: Graph, mask: int) -> list[tuple[int, int, int]]:
             for c in bits(na & adj[b] & ~((2 << b) - 1)):
                 out.append((a, b, c))
     return out
+
+
+def ref_hit_classes(g: Graph, a: int, b: int, c: int) -> tuple[int, ...]:
+    """The vertices outside the triangle (a, b, c) by the slots they are
+    adjacent to: entry ``code`` holds those adjacent to exactly the slots
+    whose bits are set in code (bit 0 for a, 1 for b, 2 for c)."""
+    adj = g.adj
+    na, nb, nc = adj[a], adj[b], adj[c]
+    rest = g.full_mask & ~(1 << a | 1 << b | 1 << c)
+    x0, x1 = rest & ~na, rest & na
+    y0, y1, y2, y3 = x0 & ~nb, x1 & ~nb, x0 & nb, x1 & nb
+    return (y0 & ~nc, y1 & ~nc, y2 & ~nc, y3 & ~nc, y0 & nc, y1 & nc, y2 & nc, y3 & nc)
+
+
+def ref_first_present(g: Graph, plans: tuple, facts: list[int]) -> tuple[int, int, int]:
+    """``first_present`` as one call per triangle of ``triangles`` and one
+    ``ref_hit_classes`` call per triangle, with each orientation's needed
+    codes rebuilt from its levels as a mask and tested against the mask of
+    empty classes.  Returns (index, k1, searches started)."""
+    best = len(plans)
+    k1 = 0
+    started = 0
+    for a, b, c in triangles(g, g.full_mask):
+        classes = ref_hit_classes(g, a, b, c)
+        k1 |= classes[0]
+        empty = bitmask(code for code, cls in enumerate(classes) if not cls)
+        for i in range(best):
+            for _, levels in plans[i]:
+                if bitmask(level[0] for level in levels) & empty:
+                    continue
+                started += 1
+                if next(_search(g, levels, classes, facts), None) is not None:
+                    best = i
+                    break
+            if best == i:
+                break
+        if not best:
+            break
+    return best, k1, started
 
 
 def ref_has_p3up2(g: Graph) -> bool:

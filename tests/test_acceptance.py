@@ -104,8 +104,11 @@ def test_criterion_2_schlafli_complement(report_line):
 
 @pytest.mark.slow
 def test_criterion_3_exhaustive_n7(report_line):
+    # the process-pool path with two workers, so the pinned n=7 counts
+    # also hold for a pooled scan (test_cli pins pooled against serial at
+    # n=5)
     t0 = time.perf_counter()
-    records, summary = scan_exhaustive(7, RunConfig(oracle=True))
+    records, summary = scan_exhaustive(7, RunConfig(oracle=True, workers=2))
     for rec in records:
         assert rec.ok, f"violation at {rec.graph6}"
         assert rec.chi <= 2 * rec.omega

@@ -10,7 +10,6 @@ from twoomega.patterns import (
     PatternEmbedding,
     _has_p3up2,
     _has_w4,
-    _hit_classes,
     _plan,
     _search,
     class_membership,
@@ -34,6 +33,8 @@ from conftest import (
     least_embedding,
     petersen,
     rand_graph,
+    ref_first_present,
+    ref_hit_classes,
     verify_embedding,
 )
 
@@ -190,6 +191,44 @@ def test_rooted_presence_matches_has_induced():
                 assert (first_present(g, rooted_plans([p]), facts)[0] == 0) == has_induced(g, p, facts), p.id
 
 
+def test_first_present_matches_the_reference_walk(monkeypatch, rng):
+    # the walk with masks hoisted per edge and each orientation's needed
+    # codes tested one by one answers (index, k1) as the walk over
+    # triangles(), one hit-class split per triangle and an empty-code mask
+    # does, and starts exactly the same rooted searches: for every band's
+    # plans and every single rooted plan, on all 33,868 labeled graphs with
+    # n <= 6, on dense and half-dense G(n, p) with n = 8..13 (where the
+    # omega >= 5 band fires) and on K_n for n <= 12
+    from twoomega import patterns
+    from twoomega.colorer import _BANDS, _band_plans
+
+    started = []
+    search = patterns._search
+
+    def counted(*args):
+        started.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(patterns, "_search", counted)
+    suites = [_band_plans(band) for band in range(len(_BANDS))]
+    suites += [rooted_plans([p]) for p in ALL_PATTERNS.values() if _plan(p)[2] is not None]
+    assert len(suites) == 5 + 21
+    hosts = [g for n in range(7) for g in all_graphs(n)]
+    hosts += [rand_graph(rng, n, p) for n in range(8, 14) for p in (0.5, 0.9) for _ in range(4)]
+    hosts += [complete(n) for n in range(13)]
+    fired = set()
+    for g in hosts:
+        facts = host_facts(g)
+        for plans in suites:
+            started.clear()
+            got = first_present(g, plans, facts)
+            assert (*got, len(started)) == ref_first_present(g, plans, facts), (g, plans)
+            if plans is suites[4]:
+                fired.add(got[0])
+    # the omega >= 5 band reaches each of its outcomes: w5, p2uk3, neither
+    assert fired == {0, 1, 2}
+
+
 def test_first_present_picks_the_first_pattern_present():
     # on K2 + K4 the omega = 4 band's first trigger 2k3 is absent and p2uk4
     # and p2uk3 are present; k1 holds the K2's vertices, the only ones with
@@ -257,7 +296,7 @@ def test_rooted_plans_on_hosts_smaller_than_the_pattern():
     g = complete(3)
     p = Pattern("k3u3k1", union(complete(3), empty_graph(3)))
     for _, levels in _plan(p)[2]:
-        assert next(_search(g, levels, _hit_classes(g, 0, 1, 2), NonNegativeIndex(host_facts(g))), None) is None
+        assert next(_search(g, levels, ref_hit_classes(g, 0, 1, 2), NonNegativeIndex(host_facts(g))), None) is None
 
 
 @given(graph_strategy(max_n=7))
