@@ -36,6 +36,7 @@ from .graphs import (
 )
 from .oracles import Coloring, chromatic_number, clique_number, two_coloring
 from .patterns import (
+    DETECTORS,
     PATTERNS,
     class_membership,
     find_induced,
@@ -132,11 +133,13 @@ class CheckResult(NamedTuple):
 # Generic questions about G[X] (an edge, a triangle, clique components, an
 # induced c4 or c5) are answered on the mask X by the helpers in ``graphs``;
 # the splits below are the ones the proof's case analysis keeps reusing.
-# Membership uses the same helpers.  G has an induced p3up2 iff some edge
-# xy has an induced p3 in M({x, y}), the fact that the ``clique_components``
-# checks of G2, G3, H2 and J1 test for one pair.  G has an induced w4 iff
-# some N(h) has an induced c4, as tested by ``c4_in`` in the checks of G1
-# and H5 and in ``_k3_c4_free``.
+# The detectors of membership and of the omega >= 5 band use the same
+# helpers.  G has an induced p3up2 iff some edge xy has an induced p3 in
+# M({x, y}), the fact that the ``clique_components`` checks of G2, G3, H2
+# and J1 test for one pair.  G has an induced w4 iff some N(h) has an
+# induced c4, as tested by ``c4_in`` in the checks of G1 and H5 and in
+# ``_k3_c4_free``; it has an induced w5 iff some N(h) has an induced c5,
+# as ``c5_in`` tests in the checks of G2 and G3.
 
 
 def _max_clique_in(g: Graph, mask: int) -> tuple[int, int]:
@@ -656,12 +659,16 @@ def _branch_j8(g, omega, anchor):
 # the band whose trigger is present fires; the last row of every band has
 # no trigger and fires when no other row does.  A row without a probe
 # fires on the least induced copy of its trigger pattern, and the
-# lexicographic search runs only for the row that fires.  Every trigger
-# pattern contains a triangle, so one pass over the host's triangles
-# decides every band (``first_present``); the bands for omega <= 2 have
-# no trigger.  A probe takes (g, k1), k1 being the vertices with a
-# triangle in their non-neighborhood, and returns None only when omega is
-# not the clique number.
+# lexicographic search runs only for the row that fires.  A band whose
+# every trigger has a detector in ``patterns.DETECTORS`` asks them row by
+# row: the bands for omega <= 2 have no trigger, and the omega >= 5 band
+# asks for w5 (an induced c5 in some N(h)), then p2uk3 (a triangle in some
+# M({u, v}) of an edge uv).  In the omega = 3 and omega = 4 bands every
+# trigger contains a triangle, so one pass over the host's triangles
+# decides the band (``first_present``).  A probe takes (g, k1), k1 being
+# the vertices with a triangle in their non-neighborhood (None in a
+# detector band, whose probes do not read it), and returns None only when
+# omega is not the clique number.
 
 
 def _always(g: Graph, *_) -> tuple[int, ...]:
@@ -707,17 +714,28 @@ _BANDS = (
 
 
 @cache
-def _band_plans(band: int) -> tuple:
-    """The rooted plans of a band's triggers, compiled on first use."""
-    return rooted_plans(PATTERNS[row[1]] for row in _BANDS[band][:-1])
+def _band_plans(band: int) -> tuple | None:
+    """The rooted plans of a band's triggers, compiled on first use; None
+    when every trigger has a detector, so the band walks no triangles."""
+    triggers = [row[1] for row in _BANDS[band][:-1]]
+    if all(pid in DETECTORS for pid in triggers):
+        return None
+    return rooted_plans(PATTERNS[pid] for pid in triggers)
 
 
 def _fire(g: Graph, omega: int):
-    """The choice made by omega's band, with the builder of its row."""
+    """The choice made by omega's band, with the builder of its row: the
+    first row whose detector finds its trigger in a detector band, else
+    the first row whose trigger one triangle walk finds."""
     band_index = min(max(omega, 1), 5) - 1
     band = _BANDS[band_index]
-    facts = host_facts(g)
-    i, k1 = first_present(g, _band_plans(band_index), facts)
+    plans = _band_plans(band_index)
+    if plans is None:
+        facts = k1 = None
+        i = next(i for i, row in enumerate(band) if row[1] is None or DETECTORS[row[1]](g))
+    else:
+        facts = host_facts(g)
+        i, k1 = first_present(g, plans, facts)
     branch_id, pid, probe, build = band[i]
     anchor = probe(g, k1) if probe else find_induced(g, PATTERNS[pid], facts).map
     if anchor is None:

@@ -7,8 +7,8 @@ is stored as one bit-row per vertex for the same reason.  Graphs are
 immutable values: every construction returns a fresh graph, and vertex
 indices referenced by certificates stay valid forever.  ``bits`` iterates
 a mask for everything that is not hot; the hot walks (``induced``,
-``triangles``) inline the same ascending bit loop, so their order is the
-same.
+``triangles``, the constructor's symmetry check) inline the same
+ascending bit loop, so their order is the same.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ class Graph:
     def __init__(self, n: int, adj: tuple[int, ...]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        adj = tuple(adj)  # a value: the caller's sequence may change later
         if len(adj) != n:
             raise ValueError("adjacency must have one row per vertex")
         full = (1 << n) - 1
@@ -69,7 +70,11 @@ class Graph:
                 raise ValueError(f"row {u} has bits outside 0..{n - 1}")
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-            for v in bits(row):
+            rest = row
+            while rest:
+                lv = rest & -rest
+                rest ^= lv
+                v = lv.bit_length() - 1
                 if not adj[v] >> u & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
         _set_n(self, n)

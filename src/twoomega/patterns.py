@@ -36,19 +36,27 @@ adjacency to a and b, and per c it cuts those four sets by N(c).  Every
 pattern still pending extends from them, each orientation only when all
 the classes it lists are nonempty.
 
-The membership detectors answer yes or no from a local form of each
-forbidden graph, with the mask helpers of ``graphs`` that the colorer's
-proof checks also use:
+The detectors answer yes or no from a local form of each forbidden graph
+and of each omega >= 5 trigger, with the mask helpers of ``graphs`` that
+the colorer's proof checks also use.  Two loops serve them: the edge split
+visits M({x, y}), the vertices adjacent to neither, for each edge xy with
+at least three vertices there, and the hub split visits N(h) for each hub
+h with at least as many neighbors as the pattern has rim vertices.
 
-- G has an induced p3up2 iff some edge xy has an induced p3 in M({x, y}),
-  the vertices adjacent to neither.  The p2 of a copy is such an edge and
-  its p3 lies in M({x, y}); conversely, an induced p3 there and the edge
-  xy induce p3up2.  So ``_has_p3up2`` asks ``clique_components`` about
-  M({x, y}) for each edge with at least three vertices in M({x, y}).
+- G has an induced p3up2 iff some edge xy has an induced p3 in M({x, y}).
+  The p2 of a copy is such an edge and its p3 lies in M({x, y});
+  conversely, an induced p3 there and the edge xy induce p3up2.  So
+  ``_has_p3up2`` asks ``clique_components`` about each M({x, y}).
+- G has an induced p2uk3 iff some edge xy has a triangle in M({x, y}), by
+  the same argument with k3 for p3: a triangle anticomplete to an edge
+  induces p2uk3.  So ``_has_p2uk3`` asks ``least_triangle_in``.
 - G has an induced w4 iff some N(h) has an induced c4: the hub and its
   rim.  So ``_has_w4`` asks ``c4_in`` about each N(h) with at least four
   vertices.  ``c4_in`` skips a common neighborhood equal to the last one
   it found to be a clique, which loses no c4, since a clique stays one.
+- G has an induced w5 iff some N(h) has an induced c5, for the same
+  reason: the hub is adjacent to its whole rim.  So ``_has_w5`` asks
+  ``c5_in`` about each N(h) with at least five vertices.
 
 ``class_membership`` runs the lexicographic search for a pattern they
 find, so no report depends on how a detector found its pattern.
@@ -64,11 +72,13 @@ from .graphs import (
     Graph,
     bitmask,
     c4_in,
+    c5_in,
     clique_components,
     complete,
     cycle,
     empty_graph,
     join,
+    least_triangle_in,
     path,
     union,
 )
@@ -411,11 +421,12 @@ def first_present(
     return best, k1
 
 
-# -- class membership -------------------------------------------------------
+# -- detectors and class membership -----------------------------------------
 
 
-def _has_p3up2(g: Graph) -> bool:
-    # An edge xy with an induced p3 in M({x, y}).
+def _any_edge_split(g: Graph, found) -> bool:
+    """Whether found(g, M({x, y})) holds for some edge xy whose M({x, y})
+    has at least three vertices: the one loop of the edge-split detectors."""
     adj = g.adj
     full = g.full_mask
     for x in range(g.n):
@@ -425,14 +436,43 @@ def _has_p3up2(g: Graph) -> bool:
             ly = ry & -ry
             ry ^= ly
             m = full & ~(nx | adj[ly.bit_length() - 1] | ly)
-            if m.bit_count() >= 3 and clique_components(g, m) is None:
+            if m.bit_count() >= 3 and found(g, m):
                 return True
     return False
 
 
+def _any_hub_split(g: Graph, size: int, found) -> bool:
+    """Whether found(g, N(h)) holds for some hub h with at least ``size``
+    neighbors: the one loop of the hub-split detectors."""
+    for row in g.adj:
+        if row.bit_count() >= size and found(g, row):
+            return True
+    return False
+
+
+def _has_p3up2(g: Graph) -> bool:
+    # An edge xy with an induced p3 in M({x, y}).
+    return _any_edge_split(g, lambda g, m: clique_components(g, m) is None)
+
+
+def _has_p2uk3(g: Graph) -> bool:
+    # An edge xy with a triangle in M({x, y}).
+    return _any_edge_split(g, lambda g, m: least_triangle_in(g, m) is not None)
+
+
 def _has_w4(g: Graph) -> bool:
     # A hub whose neighborhood holds an induced c4.
-    return any(c4_in(g, row) for row in g.adj if row.bit_count() >= 4)
+    return _any_hub_split(g, 4, c4_in)
+
+
+def _has_w5(g: Graph) -> bool:
+    # A hub whose neighborhood holds an induced c5.
+    return _any_hub_split(g, 5, c5_in)
+
+
+# The patterns with a local yes/no detector: the class's forbidden graphs
+# and the omega >= 5 band's triggers.
+DETECTORS = {"p3up2": _has_p3up2, "w4": _has_w4, "p2uk3": _has_p2uk3, "w5": _has_w5}
 
 
 def is_class_member(g: Graph) -> bool:
@@ -445,8 +485,6 @@ def class_membership(g: Graph) -> ClassReport:
     failure.  The fast detectors decide; the lexicographic search runs
     only for a pattern they found."""
     violations = [
-        find_induced(g, PATTERNS[pid])
-        for pid, present in (("p3up2", _has_p3up2), ("w4", _has_w4))
-        if present(g)
+        find_induced(g, PATTERNS[pid]) for pid in ("p3up2", "w4") if DETECTORS[pid](g)
     ]
     return ClassReport(member=not violations, violations=tuple(violations))

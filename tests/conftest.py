@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import cache
 
 import pytest
 from hypothesis import strategies as st
@@ -496,6 +497,34 @@ def ref_first_present(g: Graph, plans: tuple, facts: list[int]) -> tuple[int, in
         if not best:
             break
     return best, k1, started
+
+
+@cache
+def band5_hosts() -> tuple:
+    """Hosts for the omega >= 5 band's detectors and dispatch: every graph
+    with n <= 6, seeded G(n, p) with n = 8..16 and p in {0.5, 0.7, 0.9}
+    (six per pair), K_0..K_12 and C5[K_k] for k = 2..8."""
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(20261023)
+    graphs += [rand_graph(rng, n, p) for n in range(8, 17) for p in (0.5, 0.7, 0.9) for _ in range(6)]
+    graphs += [complete(n) for n in range(13)]
+    graphs += [clique_blowup(cycle(5), k) for k in range(2, 9)]
+    return tuple(graphs)
+
+
+def ref_band5_choice(g: Graph):
+    """The omega >= 5 band's BranchChoice by the reference triangle walk:
+    the first of w5 and p2uk3 that ``ref_first_present`` finds, at its
+    least embedding, or else G3 at the least edge."""
+    from twoomega.colorer import BranchChoice
+    from twoomega.graphs import first_edge_in
+    from twoomega.patterns import find_induced, host_facts, rooted_plans
+
+    triggers = [PATTERNS["w5"], PATTERNS["p2uk3"]]
+    i = ref_first_present(g, rooted_plans(triggers), host_facts(g))[0]
+    if i == len(triggers):
+        return BranchChoice("G3", first_edge_in(g, g.full_mask))
+    return BranchChoice(("G1", "G2")[i], find_induced(g, triggers[i]).map)
 
 
 def ref_has_p3up2(g: Graph) -> bool:

@@ -630,6 +630,48 @@ def test_find_branch_matches_ungated_reference():
     assert len(branches) == 19
 
 
+def test_find_branch_matches_the_reference_walk_in_the_omega5_band():
+    # the omega >= 5 band asks the detectors, w5 then p2uk3, and walks no
+    # triangles; it picks the row, anchor included, that the reference
+    # triangle walk over the rooted plans of (w5, p2uk3) picks, on every
+    # omega >= 5 host of band5_hosts (members or not)
+    from twoomega.oracles import clique_number
+
+    from conftest import band5_hosts, ref_band5_choice
+
+    branches = []
+    for g in band5_hosts():
+        omega, _ = clique_number(g)
+        if omega >= 5:
+            choice = find_branch(g, omega)
+            assert choice == ref_band5_choice(g), g.adj
+            branches.append(choice.branch_id)
+    # each row fires: 48 G1, 13 G2 and 241 G3 hosts
+    assert min(branches.count(b) for b in ("G1", "G2", "G3")) >= 10
+
+
+def test_detector_bands_walk_no_triangles(monkeypatch):
+    # omega <= 2 has no trigger and omega >= 5 a detector for each, so
+    # those bands build no degree-threshold masks and run no triangle walk
+    from twoomega import colorer
+
+    def walked(*_):
+        raise AssertionError("triangle walk in a detector band")
+
+    monkeypatch.setattr(colorer, "first_present", walked)
+    monkeypatch.setattr(colorer, "host_facts", walked)
+    assert [colorer._band_plans(band) is None for band in range(5)] == [True, True, False, False, True]
+    cases = [
+        (empty_graph(3), 1, "B0"),
+        (cycle(5), 2, "OMEGA2"),
+        (join(complete(3), cycle(5)), 5, "G1"),
+        (union(path(2), complete(5)), 5, "G2"),
+        (complete(6), 6, "G3"),
+    ]
+    for g, omega, branch in cases:
+        assert find_branch(g, omega).branch_id == branch
+
+
 # sha256 over the certificate_to_json lines of golden_corpus(), with
 # assert_proofs off and on: certificates (parts, anchors, assertions) are
 # byte-identical across refactors of the colorer

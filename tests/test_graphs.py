@@ -239,6 +239,22 @@ def test_graph_equality_hash_and_repr():
     assert repr(k3) == "Graph(n=3, adj=(6, 5, 3))"
 
 
+def test_graph_stores_its_rows_as_a_tuple():
+    # rows given as a list make the same hashable value as a tuple, and a
+    # later edit of the list leaves the graph as it was
+    rows = [2, 1]
+    g = Graph(2, rows)
+    assert type(g.adj) is tuple and g.adj == (2, 1)
+    assert g == Graph(2, (2, 1)) == path(2)
+    assert hash(g) == hash(path(2)) and len({g, path(2)}) == 1
+    rows[0] = 0
+    assert g.adj == (2, 1) and g == path(2)
+    # the symmetry check walks each row's bits ascending and reports the
+    # first pair without its mirror
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 3\)"):
+        Graph(4, [0b1010, 0b0001, 0, 0])
+
+
 # -- graph6 -------------------------------------------------------------------
 
 

@@ -6,8 +6,9 @@ few members, so the search order of the solvers is pinned here on every
 graph with n <= 6, on seeded G(n, p) graphs with n = 7..14 and on both
 tightness witnesses; the exact colouring also on seeded G(n, p) graphs
 with n = 15..20.  The membership detectors are also pinned on dense
-G(n, 0.9) draws and clique blow-ups, and the mask kernels ``c4_in`` and
-``c5_in`` against ``has_induced`` on the induced copy."""
+G(n, 0.9) draws and clique blow-ups, the omega >= 5 band's detectors
+against ``has_induced``, and the mask kernels ``c4_in`` and ``c5_in``
+against ``has_induced`` on the induced copy."""
 
 import random
 from functools import cache
@@ -21,12 +22,13 @@ from twoomega.oracles import (
     clique_number,
     greedy_coloring,
 )
-from twoomega.patterns import _has_p3up2, _has_w4, has_induced
+from twoomega.patterns import PATTERNS, _has_p2uk3, _has_p3up2, _has_w4, _has_w5, has_induced
 from twoomega.witnesses import groetzsch, schlafli_complement
 
 from conftest import (
     ALL_PATTERNS,
     all_graphs,
+    band5_hosts,
     clique_blowup,
     rand_graph,
     ref_clique_number,
@@ -124,6 +126,24 @@ def test_detectors_match_reference_on_dense_draws_and_blowups():
         found[1] += got[1]
     assert found[0] >= 5 and found[1] >= 1900
     assert not any(_has_p3up2(g) or _has_w4(g) for g in graphs[2000:])
+
+
+def test_band_detectors_match_has_induced():
+    # the edge split for p2uk3 (a triangle in M({x, y})) and the hub split
+    # for w5 (an induced c5 in N(h)) against the presence search, on every
+    # graph with n <= 6, seeded G(n, p) with n = 8..16, K_0..K_12 and
+    # C5[K_k] for k = 2..8
+    w5, p2uk3 = PATTERNS["w5"], PATTERNS["p2uk3"]
+    found = [0, 0]
+    for g in band5_hosts():
+        want = has_induced(g, w5), has_induced(g, p2uk3)
+        assert (_has_w5(g), _has_p2uk3(g)) == want, g
+        found[0] += want[0]
+        found[1] += want[1]
+    # each pattern is present on more than 100 hosts
+    assert min(found) > 100
+    # W5 itself: a hub with exactly five neighbors
+    assert _has_w5(w5.graph) and not _has_w5(cycle(5))
 
 
 def test_mask_kernels_match_has_induced():

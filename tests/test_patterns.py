@@ -195,12 +195,14 @@ def test_first_present_matches_the_reference_walk(monkeypatch, rng):
     # the walk with masks hoisted per edge and each orientation's needed
     # codes tested one by one answers (index, k1) as the walk over
     # triangles(), one hit-class split per triangle and an empty-code mask
-    # does, and starts exactly the same rooted searches: for every band's
-    # plans and every single rooted plan, on all 33,868 labeled graphs with
-    # n <= 6, on dense and half-dense G(n, p) with n = 8..13 (where the
-    # omega >= 5 band fires) and on K_n for n <= 12
+    # does, and starts exactly the same rooted searches: for no plans, the
+    # omega = 3 and omega = 4 bands' plans, the plans of (w5, p2uk3) (the
+    # omega >= 5 band's triggers, which the colorer decides by detectors)
+    # and every single rooted plan, on all 33,868 labeled graphs with
+    # n <= 6, on dense and half-dense G(n, p) with n = 8..13 (where w5 and
+    # p2uk3 fire) and on K_n for n <= 12
     from twoomega import patterns
-    from twoomega.colorer import _BANDS, _band_plans
+    from twoomega.colorer import _band_plans
 
     started = []
     search = patterns._search
@@ -210,9 +212,10 @@ def test_first_present_matches_the_reference_walk(monkeypatch, rng):
         return search(*args)
 
     monkeypatch.setattr(patterns, "_search", counted)
-    suites = [_band_plans(band) for band in range(len(_BANDS))]
+    band5 = rooted_plans(PATTERNS[pid] for pid in ("w5", "p2uk3"))
+    suites = [(), _band_plans(2), _band_plans(3), band5]
     suites += [rooted_plans([p]) for p in ALL_PATTERNS.values() if _plan(p)[2] is not None]
-    assert len(suites) == 5 + 21
+    assert len(suites) == 4 + 21
     hosts = [g for n in range(7) for g in all_graphs(n)]
     hosts += [rand_graph(rng, n, p) for n in range(8, 14) for p in (0.5, 0.9) for _ in range(4)]
     hosts += [complete(n) for n in range(13)]
@@ -223,9 +226,9 @@ def test_first_present_matches_the_reference_walk(monkeypatch, rng):
             started.clear()
             got = first_present(g, plans, facts)
             assert (*got, len(started)) == ref_first_present(g, plans, facts), (g, plans)
-            if plans is suites[4]:
+            if plans is band5:
                 fired.add(got[0])
-    # the omega >= 5 band reaches each of its outcomes: w5, p2uk3, neither
+    # the (w5, p2uk3) plans reach each outcome: w5, p2uk3, neither
     assert fired == {0, 1, 2}
 
 
