@@ -9,6 +9,12 @@ indices referenced by certificates stay valid forever.  ``bits`` iterates
 a mask for everything that is not hot; the hot walks (``induced``,
 ``triangles``, the constructor's symmetry check) inline the same
 ascending bit loop, so their order is the same.
+
+``c5_in`` first peels its mask, dropping every vertex with fewer than two
+non-neighbors left in it until none does: the k-core peel of Matula and
+Beck, on non-neighbors.  Each vertex of an induced c5 has exactly two
+non-neighbors on the c5, so every c5 survives, and the walk runs only on
+the core, which is empty on a clique.
 """
 
 from __future__ import annotations
@@ -328,17 +334,39 @@ def c4_in(g: Graph, mask: int) -> bool:
 def c5_in(g: Graph, mask: int) -> bool:
     """Whether G[mask] has an induced c5.
 
-    Name a c5 v0-v1-v2-v3-v4 from its least vertex v0, with v1 < v4: v1
-    and v4 are non-adjacent neighbors of v0, v2 lies in N(v1) - N[v4] and
-    v3 in N(v4) - N[v1], both outside N[v0], and v2v3 is an edge.  So all
-    five lie in mask above v0, and every c5 is found this way."""
+    First peel the mask: drop every vertex with fewer than two
+    non-neighbors left in it, until none does.  Each vertex of an induced
+    c5 has exactly two non-neighbors on the c5, so the whole c5 survives
+    every round and the peel loses none; fewer than five vertices left
+    means no c5.  On a clique the first round drops everything.
+
+    Then name a c5 v0-v1-v2-v3-v4 in the core from its least vertex v0,
+    with v1 < v4: v1 and v4 are non-adjacent neighbors of v0, v2 lies in
+    N(v1) - N[v4] and v3 in N(v4) - N[v1], both outside N[v0], and v2v3 is
+    an edge.  So all five lie in the core above v0, and every c5 is found
+    this way; a v0 with no non-neighbor above it is skipped."""
     adj = g.adj
-    r0 = mask
+    core = mask
+    while True:
+        before = rest = core
+        while rest:
+            lv = rest & -rest
+            rest ^= lv
+            # v itself is outside adj[v], so < 3 is < 2 non-neighbors
+            if (core & ~adj[lv.bit_length() - 1]).bit_count() < 3:
+                core ^= lv
+        if core.bit_count() < 5:
+            return False
+        if core == before:
+            break
+    r0 = core
     while r0:
         l0 = r0 & -r0
-        r0 ^= l0  # now the vertices of mask above v0
+        r0 ^= l0  # now the vertices of the core above v0
         a0 = adj[l0.bit_length() - 1]
         far = r0 & ~a0
+        if not far:
+            continue
         r1 = r0 & a0
         while r1:
             l1 = r1 & -r1

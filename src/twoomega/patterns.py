@@ -56,7 +56,11 @@ h with at least as many neighbors as the pattern has rim vertices.
   it found to be a clique, which loses no c4, since a clique stays one.
 - G has an induced w5 iff some N(h) has an induced c5, for the same
   reason: the hub is adjacent to its whole rim.  So ``_has_w5`` asks
-  ``c5_in`` about each N(h) with at least five vertices.
+  ``c5_in`` about each N(h) with at least five vertices.  ``c5_in`` walks
+  only what is left of N(h) after dropping, round by round, each vertex
+  with fewer than two non-neighbors left there; that loses no c5, since
+  each rim vertex has two non-neighbors on the rim, and on a clique
+  nothing is left.
 
 ``class_membership`` runs the lexicographic search for a pattern they
 find, so no report depends on how a detector found its pattern.

@@ -567,6 +567,39 @@ def ref_has_w4(g: Graph) -> bool:
     return False
 
 
+def ref_c5_in(g: Graph, mask: int) -> bool:
+    """``c5_in``'s walk without the peel: the whole mask, and every v0
+    even when no non-neighbor lies above it."""
+    adj = g.adj
+    r0 = mask
+    while r0:
+        l0 = r0 & -r0
+        r0 ^= l0  # now the vertices of mask above v0
+        a0 = adj[l0.bit_length() - 1]
+        far = r0 & ~a0
+        r1 = r0 & a0
+        while r1:
+            l1 = r1 & -r1
+            r1 ^= l1  # now v0's neighbors above v1
+            a1 = adj[l1.bit_length() - 1]
+            f1 = far & a1
+            r4 = r1 & ~a1 if f1 else 0
+            while r4:
+                l4 = r4 & -r4
+                r4 ^= l4
+                a4 = adj[l4.bit_length() - 1]
+                f4 = far & a4 & ~a1
+                if not f4:
+                    continue
+                x = f1 & ~a4
+                while x:
+                    lx = x & -x
+                    x ^= lx
+                    if adj[lx.bit_length() - 1] & f4:
+                        return True
+    return False
+
+
 def ref_monochromatic(g: Graph, colors) -> str | None:
     """``check_certificate``'s failure for the first monochromatic edge,
     walking u ascending and then its larger neighbors ascending."""

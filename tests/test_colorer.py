@@ -672,6 +672,19 @@ def test_detector_bands_walk_no_triangles(monkeypatch):
         assert find_branch(g, omega).branch_id == branch
 
 
+def test_omega5_dispatch_on_large_cliques():
+    # K_n has no w5 and no p2uk3, so it fires G3 at its least edge; the
+    # peel in c5_in answers each hub's N(h) after one round, so these take
+    # milliseconds, not seconds
+    from twoomega.patterns import _has_w5
+
+    for n in (60, 120, 200):
+        assert find_branch(complete(n), n) == ("G3", (0, 1))
+    # K_k joined to a C5: every clique vertex is a hub whose N(h) peels
+    # down to exactly the C5
+    assert [_has_w5(join(complete(k), cycle(5))) for k in range(21)] == [False] + [True] * 20
+
+
 # sha256 over the certificate_to_json lines of golden_corpus(), with
 # assert_proofs off and on: certificates (parts, anchors, assertions) are
 # byte-identical across refactors of the colorer

@@ -8,13 +8,26 @@ tightness witnesses; the exact colouring also on seeded G(n, p) graphs
 with n = 15..20.  The membership detectors are also pinned on dense
 G(n, 0.9) draws and clique blow-ups, the omega >= 5 band's detectors
 against ``has_induced``, and the mask kernels ``c4_in`` and ``c5_in``
-against ``has_induced`` on the induced copy."""
+against ``has_induced`` on the induced copy; ``c5_in`` also against its
+unpeeled walk ``ref_c5_in`` on cliques, C5 joins and masks whose peel
+takes several rounds."""
 
 import random
 from functools import cache
 
 from twoomega.colorer import BranchTrace, ColoringCertificate, check_certificate
-from twoomega.graphs import c4_in, c5_in, cycle, induced, triangles
+from twoomega.graphs import (
+    Graph,
+    c4_in,
+    c5_in,
+    complement,
+    complete,
+    cycle,
+    induced,
+    join,
+    path,
+    triangles,
+)
 from twoomega.oracles import (
     Coloring,
     _k_colorable,
@@ -31,6 +44,7 @@ from conftest import (
     band5_hosts,
     clique_blowup,
     rand_graph,
+    ref_c5_in,
     ref_clique_number,
     ref_greedy_coloring,
     ref_has_p3up2,
@@ -168,6 +182,69 @@ def test_mask_kernels_match_has_induced():
         found[0] += want[0]
         found[1] += want[1]
     assert min(found) > 2000
+
+
+def peel(g: Graph, mask: int) -> tuple[int, int]:
+    """The core left when every vertex with fewer than two non-neighbors
+    in the mask is dropped at once, round after round, and the number of
+    rounds that dropped something."""
+    rounds = 0
+    while True:
+        drop = [v for v in range(g.n) if mask >> v & 1 and (mask & ~g.adj[v] & ~(1 << v)).bit_count() < 2]
+        if not drop:
+            return mask, rounds
+        for v in drop:
+            mask &= ~(1 << v)
+        rounds += 1
+
+
+def co_tail(core: Graph, length: int) -> Graph:
+    """The complement of ``core`` with a path of ``length`` new vertices
+    hung off vertex 0: in the complement the tail's vertices have one or
+    two non-neighbors, and the peel eats the tail one vertex per round."""
+    n = core.n + length
+    edges = list(core.edges()) + [(v, v + 1) for v in range(core.n, n - 1)]
+    if length:
+        edges.append((0, core.n))
+    return complement(Graph.from_edges(n, edges))
+
+
+def test_c5_in_matches_reference_and_has_induced():
+    c5 = ALL_PATTERNS["c5"]
+    rng = random.Random(20261024)
+    cases = []
+    for g in corpus():
+        cases += [(g, g.full_mask), (g, rng.getrandbits(g.n) if g.n else 0)]
+    # C5 joined to K_k: every clique vertex is adjacent to all, so the
+    # core is exactly the C5
+    for k in range(21):
+        g = join(complete(k), cycle(5))
+        assert peel(g, g.full_mask)[0] == 0b11111 << k
+        cases.append((g, g.full_mask))
+    # K_n: the first round drops every vertex
+    for n in range(61):
+        g = complete(n)
+        assert peel(g, g.full_mask) == (0, min(n, 1))
+        cases.append((g, g.full_mask))
+    # complements of a C5, a C6 and a bare path with a tail: the peel
+    # takes the tail away over several rounds and leaves the C5 (a c5),
+    # the C6's complement (no c5) or nothing
+    for length in range(2, 16):
+        for core, want in ((cycle(5), 0b11111), (cycle(6), 0b111111), (path(4), 0)):
+            g = co_tail(core, length)
+            left, rounds = peel(g, g.full_mask)
+            assert left == want and rounds >= length // 2, (core, length)
+            cases.append((g, g.full_mask))
+            # the same host joined to a clique, which the first round drops
+            h = join(complete(6), g)
+            assert peel(h, h.full_mask)[0] == left << 6
+            cases.append((h, h.full_mask))
+    found = 0
+    for g, mask in cases:
+        want = has_induced(induced(g, mask), c5)
+        assert c5_in(g, mask) == ref_c5_in(g, mask) == want, (g, mask)
+        found += want
+    assert found > 3000
 
 
 def test_check_certificate_reports_reference_monochromatic_edge():
