@@ -8,7 +8,6 @@ from .graphs import (
     bitmask,
     bit_list,
     bits,
-    complement,
     complete,
     cycle,
     empty_graph,

@@ -665,23 +665,26 @@ def _branch_j8(g, omega, anchor):
 # asks for w5 (an induced c5 in some N(h)), then p2uk3 (a triangle in some
 # M({u, v}) of an edge uv).  In the omega = 3 and omega = 4 bands every
 # trigger contains a triangle, so one pass over the host's triangles
-# decides the band (``first_present``).  A probe takes (g, k1), k1 being
-# the vertices with a triangle in their non-neighborhood (None in a
-# detector band, whose probes do not read it), and returns None only when
-# omega is not the clique number.
+# decides the band (``first_present``).  A probe takes g and returns None
+# only when omega is not the clique number.
 
 
-def _always(g: Graph, *_) -> tuple[int, ...]:
+def _always(g: Graph) -> tuple[int, ...]:
     return ()
 
 
-def _j7_anchor(g: Graph, k1: int) -> tuple[int, ...]:
-    """Least k1uk3 anchor (v, t1, t2, t3), given the vertices k1 that have
-    a triangle in their non-neighborhood, preferring a non-isolated v so
-    the branch's companion vertex v' exists."""
-    hosts = bitmask(v for v in bits(k1) if g.adj[v]) or k1
-    v = (hosts & -hosts).bit_length() - 1
-    return (v, *least_triangle_in(g, g.full_mask & ~(g.adj[v] | 1 << v)))
+def _j7_anchor(g: Graph) -> tuple[int, ...] | None:
+    """Least k1uk3 anchor (v, t1, t2, t3): the least v with a triangle in
+    M(v), preferring a non-isolated v so the branch's companion vertex v'
+    exists, and the least triangle there."""
+    isolated = None
+    for v, row in enumerate(g.adj):
+        tri = least_triangle_in(g, g.full_mask & ~(row | 1 << v))
+        if tri is not None:
+            if row:
+                return (v, *tri)
+            isolated = isolated or (v, *tri)
+    return isolated
 
 
 _BANDS = (
@@ -708,7 +711,7 @@ _BANDS = (
     (  # omega >= 5
         ("G1", "w5", None, _branch_g1),
         ("G2", "p2uk3", None, _branch_g2),
-        ("G3", None, lambda g, k1: first_edge_in(g, g.full_mask), _branch_g3),
+        ("G3", None, lambda g: first_edge_in(g, g.full_mask), _branch_g3),
     ),
 )
 
@@ -731,13 +734,13 @@ def _fire(g: Graph, omega: int):
     band = _BANDS[band_index]
     plans = _band_plans(band_index)
     if plans is None:
-        facts = k1 = None
+        facts = None
         i = next(i for i, row in enumerate(band) if row[1] is None or DETECTORS[row[1]](g))
     else:
         facts = host_facts(g)
-        i, k1 = first_present(g, plans, facts)
+        i = first_present(g, plans, facts)
     branch_id, pid, probe, build = band[i]
-    anchor = probe(g, k1) if probe else find_induced(g, PATTERNS[pid], facts).map
+    anchor = probe(g) if probe else find_induced(g, PATTERNS[pid], facts).map
     if anchor is None:
         raise ValueError(f"no branch fired: omega={omega} is not the clique number")
     return BranchChoice(branch_id, anchor), build

@@ -116,36 +116,15 @@ class Graph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self):
         """Yield edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):
             for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u] >> v & 1)
-
     def _check_vertex(self, v: int):
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
-
-    def neighbors(self, v: int) -> int:
-        """N(v) as a mask."""
-        self._check_vertex(v)
-        return self.adj[v]
-
-    def closed_neighborhood(self, v: int) -> int:
-        """N[v] = N(v) plus v itself."""
-        self._check_vertex(v)
-        return self.adj[v] | 1 << v
-
-    def degree(self, v: int) -> int:
-        return self.neighbors(v).bit_count()
 
     # -- constructors ---------------------------------------------------
 
@@ -209,12 +188,6 @@ def join(a: Graph, b: Graph) -> Graph:
     rows = [row | bmask for row in a.adj]
     rows += [(row << a.n) | amask for row in b.adj]
     return _graph_nocheck(a.n + b.n, tuple(rows))
-
-
-def complement(g: Graph) -> Graph:
-    full = g.full_mask
-    rows = tuple(full & ~(row | 1 << v) for v, row in enumerate(g.adj))
-    return _graph_nocheck(g.n, rows)
 
 
 def induced(g: Graph, mask: int) -> Graph:

@@ -92,10 +92,6 @@ class Pattern(NamedTuple):
     id: str
     graph: Graph
 
-    @property
-    def order(self) -> int:
-        return self.graph.n
-
 
 class PatternEmbedding(NamedTuple):
     """Injective map pattern-vertex -> host-vertex witnessing an induced copy."""
@@ -346,10 +342,10 @@ def find_induced(
     return None if img is None else PatternEmbedding(p.id, img)
 
 
-def has_induced(g: Graph, p: Pattern, facts: list[int] | None = None) -> bool:
+def has_induced(g: Graph, p: Pattern) -> bool:
     """Whether g has an induced copy of p, by the presence plan: the same
     answer as ``find_induced``, usually from far fewer search nodes."""
-    return next(_search(g, _plan(p)[1], (g.full_mask,), facts), None) is not None
+    return next(_search(g, _plan(p)[1], (g.full_mask,), None), None) is not None
 
 
 # -- triangle-rooted presence ------------------------------------------------
@@ -362,12 +358,10 @@ def rooted_plans(patterns) -> tuple:
     return tuple(_plan(p)[2] for p in patterns)
 
 
-def first_present(
-    g: Graph, plans: tuple, facts: list[int] | None = None
-) -> tuple[int, int]:
+def first_present(g: Graph, plans: tuple, facts: list[int]) -> int:
     """Index of the first pattern with an induced copy in g, the patterns
     given by their ``rooted_plans``, or ``len(plans)`` when none has one;
-    and the vertices with a triangle in their non-neighborhood.
+    ``facts`` are g's ``host_facts``.
 
     Every copy maps its pattern's root triangle onto a host triangle, so
     one pass over the host's triangles (a, b, c), a < b < c, in
@@ -377,11 +371,9 @@ def first_present(
     Only the patterns ahead of the first one found so far are tried, and an
     orientation's search starts only when every hit class it needs is
     nonempty: a level drawing from an empty class has no candidate."""
-    facts = facts or host_facts(g)
     adj = g.adj
     full = g.full_mask
     best = len(plans)
-    k1 = 0
     above_a = full
     while above_a:
         la = above_a & -above_a
@@ -408,7 +400,6 @@ def first_present(
                     neither & off, a_only & off, b_only & off, both & off & ~lc,
                     neither & nc, a_only & nc, b_only & nc, both & nc,
                 )
-                k1 |= classes[0]
                 for i in range(best):
                     for need, levels in plans[i]:
                         for code in need:
@@ -421,8 +412,8 @@ def first_present(
                     if best == i:
                         break
                 if not best:
-                    return best, k1
-    return best, k1
+                    return best
+    return best
 
 
 # -- detectors and class membership -----------------------------------------

@@ -39,7 +39,7 @@ def _hvn() -> Graph:
 
 def _paraglider() -> Graph:
     diamond = join(empty_graph(1), path(3))
-    deg2 = [v for v in diamond.vertices() if diamond.degree(v) == 2]
+    deg2 = [v for v in range(diamond.n) if diamond.adj[v].bit_count() == 2]
     return Graph.from_edges(5, list(diamond.edges()) + [(4, deg2[0]), (4, deg2[1])])
 
 
@@ -69,6 +69,12 @@ ALL_PATTERNS: dict[str, Pattern] = PATTERNS | FIXTURE_PATTERNS
 def rand_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def complement(g: Graph) -> Graph:
+    """The graph on g's vertices whose edges are g's non-edges."""
+    full = g.full_mask
+    return Graph(g.n, tuple(full & ~(row | 1 << v) for v, row in enumerate(g.adj)))
 
 
 def coin_submask(g: Graph, salt: int = 0, p: float = 0.6) -> int:
@@ -167,9 +173,9 @@ def verify_embedding(g: Graph, emb: PatternEmbedding) -> bool:
     """Check that the map is an induced-subgraph isomorphism (edges and non-edges)."""
     p = ALL_PATTERNS[emb.pattern_id]
     m = emb.map
-    if len(m) != p.order or len(set(m)) != len(m):
+    if len(m) != p.graph.n or len(set(m)) != len(m):
         return False
-    for i in range(p.order):
+    for i in range(p.graph.n):
         for j in range(i):
             if bool(p.graph.adj[i] >> j & 1) != bool(g.adj[m[i]] >> m[j] & 1):
                 return False
@@ -191,8 +197,8 @@ def induced_isomorphic(a: Graph, b: Graph) -> bool:
     """Isomorphism test for small graphs by degree-pruned backtracking."""
     if a.n != b.n or a.edge_count != b.edge_count:
         return False
-    deg_a = sorted(a.degree(v) for v in a.vertices())
-    deg_b = sorted(b.degree(v) for v in b.vertices())
+    deg_a = sorted(row.bit_count() for row in a.adj)
+    deg_b = sorted(row.bit_count() for row in b.adj)
     if deg_a != deg_b:
         return False
 
@@ -205,7 +211,7 @@ def induced_isomorphic(a: Graph, b: Graph) -> bool:
             return True
         da = a.adj[i]
         for w in range(n):
-            if used[w] or a.degree(i) != b.degree(w):
+            if used[w] or da.bit_count() != b.adj[w].bit_count():
                 continue
             ok = True
             for j in range(i):
@@ -227,7 +233,7 @@ def count_induced(g: Graph, p: Pattern) -> int:
     """Number of vertex subsets of g inducing a copy of p (not maps): the
     dumb route (enumerate subsets, isomorphism-check each), kept as an
     oracle independent of the library's search engine."""
-    k = p.order
+    k = p.graph.n
     if k > g.n:
         return 0
     count = 0
@@ -247,7 +253,7 @@ def least_embedding(g: Graph, p: Pattern) -> tuple[int, ...] | None:
 
     def extend() -> bool:
         i = len(img)
-        if i == p.order:
+        if i == p.graph.n:
             return True
         for w in range(g.n):
             if w not in img and all(
@@ -476,7 +482,9 @@ def ref_first_present(g: Graph, plans: tuple, facts: list[int]) -> tuple[int, in
     """``first_present`` as one call per triangle of ``triangles`` and one
     ``ref_hit_classes`` call per triangle, with each orientation's needed
     codes rebuilt from its levels as a mask and tested against the mask of
-    empty classes.  Returns (index, k1, searches started)."""
+    empty classes.  Returns (index, k1, searches started), k1 being the
+    vertices with a triangle in their non-neighborhood: the walk visits
+    every triangle, and once index 0 is found it starts no more searches."""
     best = len(plans)
     k1 = 0
     started = 0
@@ -494,8 +502,6 @@ def ref_first_present(g: Graph, plans: tuple, facts: list[int]) -> tuple[int, in
                     break
             if best == i:
                 break
-        if not best:
-            break
     return best, k1, started
 
 

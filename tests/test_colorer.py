@@ -449,7 +449,7 @@ def check_pair_split(g: Graph, a: int, b: int):
     assert (only_a, only_b, common) == (na & ~(nb | 1 << b), nb & ~(na | 1 << a), na & nb)
     # the set definitions, vertex by vertex
     for v in range(g.n):
-        adj_a, adj_b = g.has_edge(v, a), g.has_edge(v, b)
+        adj_a, adj_b = bool(g.adj[v] >> a & 1), bool(g.adj[v] >> b & 1)
         assert only_a >> v & 1 == (adj_a and not adj_b and v != b)
         assert only_b >> v & 1 == (adj_b and not adj_a and v != a)
         assert common >> v & 1 == (adj_a and adj_b)
@@ -484,10 +484,10 @@ def test_triangle_split_matches_brute_force():
                 expect = [0, 0, 0, 0]
                 for v in range(n):
                     if v not in s:
-                        expect[sum(g.has_edge(v, t) for t in s)] |= 1 << v
+                        expect[sum(g.adj[v] >> t & 1 for t in s)] |= 1 << v
                 assert split == expect
                 n_s = bitmask(v for v in range(n) if v not in s
-                              and any(g.has_edge(v, t) for t in s))
+                              and any(g.adj[v] >> t & 1 for t in s))
                 assert split[0] == g.full_mask & ~(s_mask | n_s)
                 assert split[3] == g.adj[s[0]] & g.adj[s[1]] & g.adj[s[2]]
 

@@ -20,7 +20,6 @@ from twoomega.graphs import (
     Graph,
     c4_in,
     c5_in,
-    complement,
     complete,
     cycle,
     induced,
@@ -43,6 +42,7 @@ from conftest import (
     all_graphs,
     band5_hosts,
     clique_blowup,
+    complement,
     rand_graph,
     ref_c5_in,
     ref_clique_number,

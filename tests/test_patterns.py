@@ -2,7 +2,7 @@ from itertools import permutations
 
 from hypothesis import given, settings
 
-from twoomega.graphs import Graph, complement, complete, cycle, empty_graph, induced, path, union
+from twoomega.graphs import Graph, bitmask, bits, complete, cycle, empty_graph, induced, path, union
 from twoomega.patterns import (
     PATTERNS,
     ClassReport,
@@ -27,6 +27,7 @@ from conftest import (
     all_graphs,
     automorphisms,
     coin_submask,
+    complement,
     count_induced,
     graph_strategy,
     induced_isomorphic,
@@ -35,6 +36,7 @@ from conftest import (
     rand_graph,
     ref_first_present,
     ref_hit_classes,
+    ref_triangles,
     verify_embedding,
 )
 
@@ -72,7 +74,7 @@ def test_catalog_orders_and_sizes():
     assert sorted(expect) == sorted(ALL_PATTERNS)
     for pid, (order, m) in expect.items():
         p = ALL_PATTERNS[pid]
-        assert (p.order, p.graph.edge_count) == (order, m), pid
+        assert (p.graph.n, p.graph.edge_count) == (order, m), pid
 
 
 def test_every_pattern_selfcount_one():
@@ -111,7 +113,7 @@ def test_find_induced_is_least_injective_map(rng):
         g = rand_graph(rng, n, 0.5)
         for p in ALL_PATTERNS.values():
             least = min(
-                (m for m in permutations(range(g.n), p.order)
+                (m for m in permutations(range(g.n), p.graph.n)
                  if verify_embedding(g, PatternEmbedding(p.id, m))),
                 default=None,
             )
@@ -188,21 +190,23 @@ def test_rooted_presence_matches_has_induced():
         for g in all_graphs(n):
             facts = host_facts(g)
             for p in rooted:
-                assert (first_present(g, rooted_plans([p]), facts)[0] == 0) == has_induced(g, p, facts), p.id
+                assert (first_present(g, rooted_plans([p]), facts) == 0) == has_induced(g, p), p.id
 
 
 def test_first_present_matches_the_reference_walk(monkeypatch, rng):
     # the walk with masks hoisted per edge and each orientation's needed
-    # codes tested one by one answers (index, k1) as the walk over
+    # codes tested one by one answers the index that the walk over
     # triangles(), one hit-class split per triangle and an empty-code mask
     # does, and starts exactly the same rooted searches: for no plans, the
     # omega = 3 and omega = 4 bands' plans, the plans of (w5, p2uk3) (the
     # omega >= 5 band's triggers, which the colorer decides by detectors)
     # and every single rooted plan, on all 33,868 labeled graphs with
     # n <= 6, on dense and half-dense G(n, p) with n = 8..13 (where w5 and
-    # p2uk3 fire) and on K_n for n <= 12
+    # p2uk3 fire) and on K_n for n <= 12.  On the same hosts the colorer's
+    # J7 probe finds the anchor that the reference walk's k1 (the vertices
+    # with a triangle in their non-neighbourhood) names
     from twoomega import patterns
-    from twoomega.colorer import _band_plans
+    from twoomega.colorer import _band_plans, _j7_anchor
 
     started = []
     search = patterns._search
@@ -225,23 +229,38 @@ def test_first_present_matches_the_reference_walk(monkeypatch, rng):
         for plans in suites:
             started.clear()
             got = first_present(g, plans, facts)
-            assert (*got, len(started)) == ref_first_present(g, plans, facts), (g, plans)
+            index, k1, searches = ref_first_present(g, plans, facts)
+            assert (got, len(started)) == (index, searches), (g, plans)
             if plans is band5:
-                fired.add(got[0])
+                fired.add(got)
+        # the least non-isolated vertex of k1, else its least vertex, with
+        # the least triangle in its non-neighbourhood; None when k1 is empty
+        anchor = _j7_anchor(g)
+        if not k1:
+            assert anchor is None, g
+            continue
+        firsts = bitmask(v for v in bits(k1) if g.adj[v]) or k1
+        v = (firsts & -firsts).bit_length() - 1
+        assert anchor == (v, *ref_triangles(g, g.full_mask & ~(g.adj[v] | 1 << v))[0]), g
     # the (w5, p2uk3) plans reach each outcome: w5, p2uk3, neither
     assert fired == {0, 1, 2}
 
 
 def test_first_present_picks_the_first_pattern_present():
     # on K2 + K4 the omega = 4 band's first trigger 2k3 is absent and p2uk4
-    # and p2uk3 are present; k1 holds the K2's vertices, the only ones with
-    # a triangle in their non-neighborhood
+    # and p2uk3 are present; the K2's vertices are the only ones with a
+    # triangle in their non-neighborhood, so J7's anchor is the least of
+    # them with the K4's least triangle
+    from twoomega.colorer import _j7_anchor
+
     g = union(complete(2), complete(4))
     band = rooted_plans(PATTERNS[pid] for pid in ("2k3", "p2uk4", "p2uk3", "four_triangle", "gem"))
-    assert first_present(g, band) == (1, 0b11)
-    assert first_present(g, band[2:])[0] == 0
-    assert first_present(g, band[3:]) == (2, 0b11)
-    assert first_present(complete(2), band) == (5, 0)
+    assert first_present(g, band, host_facts(g)) == 1
+    assert first_present(g, band[2:], host_facts(g)) == 0
+    assert first_present(g, band[3:], host_facts(g)) == 2
+    assert first_present(complete(2), band, host_facts(complete(2))) == 5
+    assert _j7_anchor(g) == (0, 2, 3, 4)
+    assert _j7_anchor(complete(2)) is None
 
 
 def test_degree_window_on_dense_hosts(rng):
@@ -260,9 +279,9 @@ def test_degree_window_on_dense_hosts(rng):
             present = count_induced(g, p) > 0
             emb = find_induced(g, p, facts)
             assert (None if emb is None else emb.map) == least_embedding(g, p), p.id
-            assert has_induced(g, p, facts) == present, p.id
+            assert has_induced(g, p) == present, p.id
             if _plan(p)[2] is not None:
-                assert (first_present(g, rooted_plans([p]), facts)[0] == 0) == present, p.id
+                assert (first_present(g, rooted_plans([p]), facts) == 0) == present, p.id
 
 
 class NonNegativeIndex(list):
@@ -289,10 +308,10 @@ def test_rooted_plans_on_hosts_smaller_than_the_pattern():
             triggers = [PATTERNS[row[1]] for row in _BANDS[band][:-1]]
             present = [count_induced(g, p) > 0 for p in triggers]
             first = present.index(True) if any(present) else len(triggers)
-            assert first_present(g, _band_plans(band), facts)[0] == first
+            assert first_present(g, _band_plans(band), facts) == first
             for p, found in zip(triggers, present):
-                assert (first_present(g, rooted_plans([p]), facts)[0] == 0) == found, p.id
-                assert not found or p.order <= g.n, p.id
+                assert (first_present(g, rooted_plans([p]), facts) == 0) == found, p.id
+                assert not found or p.graph.n <= g.n, p.id
     # first_present skips a plan that needs an empty hit class, so a search
     # on K3 itself shows the check: a triangle plus three isolated vertices
     # has levels with q = 5, and n - q would be -2
@@ -351,4 +370,4 @@ def test_pattern_containment_chain():
 
 
 def test_patterns_order_at_most_six():
-    assert max(p.order for p in PATTERNS.values()) == 6
+    assert max(p.graph.n for p in PATTERNS.values()) == 6
