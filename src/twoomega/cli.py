@@ -360,9 +360,6 @@ def cli_main(argv=None) -> int:
     except (ValueError, SampleGiveUp, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # the exact solvers recurse once per vertex they place
-        print("error: graph too large for the exact solvers' recursion", file=sys.stderr)
-        return 2
 
 
 def _dispatch(args) -> int:

@@ -622,7 +622,7 @@ def _branch_j7(g, omega, anchor):
             "isolated split: k1uk3-free remainder with a triangle")
         checks = [
             ("remainder-k1uk3-free", False,
-             lambda: not has_induced(induced(g, rest), PATTERNS["k1uk3"])),
+             lambda: _j7_anchor(induced(g, rest)) is None),
         ]
         return [("all", g.full_mask, strat)], checks
     nv = g.adj[v]
@@ -646,7 +646,7 @@ def _branch_j8(g, omega, anchor):
         "exact_with_budget", 6, "k1uk3-free with a triangle: chi <= 2*omega"
     )
     checks = [
-        ("k1uk3-free", False, lambda: not has_induced(g, PATTERNS["k1uk3"])),
+        ("k1uk3-free", False, lambda: _j7_anchor(g) is None),
         ("has-triangle", True, lambda: least_triangle_in(g, g.full_mask) is not None),
     ]
     return [("all", g.full_mask, strat)], checks
@@ -676,10 +676,13 @@ def _always(g: Graph) -> tuple[int, ...]:
 def _j7_anchor(g: Graph) -> tuple[int, ...] | None:
     """Least k1uk3 anchor (v, t1, t2, t3): the least v with a triangle in
     M(v), preferring a non-isolated v so the branch's companion vertex v'
-    exists, and the least triangle there."""
+    exists, and the least triangle there.  A graph induces k1uk3 exactly
+    when some v has a triangle in M(v), so None means k1uk3-free."""
     isolated = None
+    full = g.full_mask
     for v, row in enumerate(g.adj):
-        tri = least_triangle_in(g, g.full_mask & ~(row | 1 << v))
+        m = full & ~(row | 1 << v)
+        tri = least_triangle_in(g, m) if m.bit_count() > 2 else None
         if tri is not None:
             if row:
                 return (v, *tri)

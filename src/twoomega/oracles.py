@@ -2,21 +2,26 @@
 the 2-coloring witness the colorer's bipartite parts rely on.
 
 The clique solver is branch-and-bound with a greedy-coloring upper bound
-for pruning.  The chromatic solver runs a saturation-driven (first-fail,
-DSATUR) branch-and-bound per color count, with a maximum clique
-pre-colored and new colors introduced in order, so results and timings
-are reproducible.  Its state is bit-parallel: one mask per color of the
-vertices that color is forbidden at, and the saturations as bit-sliced
-counters, so placing a vertex and choosing the next one are a few mask
-operations each, not a walk over the vertices.
-A time budget, when given, produces an explicit timed-out result carrying
-the best bounds found so far, never an exception.
+for pruning (Tomita & Seki, DMTCS 2003).  The chromatic solver runs a
+saturation-driven (first-fail, DSATUR; Brelaz, CACM 1979) branch-and-bound
+per color count, with a maximum clique pre-colored and new colors
+introduced in order, so results and timings are reproducible.  Its upper
+bound is the same search's first descent with as many colors as
+vertices, which never backtracks.  The coloring search's state is
+bit-parallel: one mask per color of the vertices that color is forbidden
+at, and the saturations as bit-sliced counters, so placing a vertex and
+choosing the next one are a few mask operations each, not a walk over
+the vertices.  Both searches run on an explicit stack, one frame per
+vertex placed, so their depth is not bounded by the interpreter's
+recursion limit.  A time budget, when given, produces an explicit
+timed-out result carrying the best bounds found so far, never an
+exception.
 
 The inner loops are plain bit loops, but the search order is fixed: the
-clique search tries vertices in reverse greedy-coloring order, and both
-colorings pick the most saturated vertex, then the higher degree, then
-the lower index, and try colors in ascending order.  So every coloring and
-witness clique is reproducible from the graph alone.
+clique search tries vertices in reverse greedy-coloring order, and the
+coloring search picks the most saturated vertex, then the higher degree,
+then the lower index, and tries colors in ascending order.  So every
+coloring and witness clique is reproducible from the graph alone.
 """
 
 from __future__ import annotations
@@ -55,16 +60,18 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     if n == 0:
         return 0, ()
     adj = g.adj
-    # Vertex 0 seeds the best clique; expand replaces it with the first edge it finds.
-    best_set = 1
-    best = 1
-
-    def expand(r_mask: int, r_size: int, cand: int):
+    # Vertex 0 seeds the best clique; the search replaces it with the first edge it finds.
+    best = best_set = 1
+    # One frame per clique vertex placed: the clique so far (r_mask, r_size),
+    # the candidates still to try, and where in their classes the walk is.
+    stack = []
+    r_mask = r_size = 0
+    cand = (1 << n) - 1
+    while True:
         # Greedy coloring of cand into independent classes, each filled
         # least vertex first: a vertex in class k bounds any clique through
         # it (within cand and earlier classes) by k.  The vertices are then
         # tried in reverse visit order: last class first, highest index first.
-        nonlocal best, best_set
         classes = []
         rest = cand
         while rest:
@@ -76,11 +83,10 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
                 avail &= ~adj[b.bit_length() - 1] & ~b
             rest ^= cls
             classes.append(cls)
-        for bound in range(len(classes), 0, -1):
-            cls = classes[bound - 1]
-            while cls:
-                if r_size + bound <= best:
-                    return
+        bound = len(classes)
+        cls = classes[-1]
+        while True:
+            if cls and r_size + bound > best:
                 v = cls.bit_length() - 1
                 b = 1 << v
                 cls ^= b
@@ -90,10 +96,18 @@ def clique_number(g: Graph) -> tuple[int, tuple[int, ...]]:
                     best_set = r_mask | b
                 new_cand = cand & adj[v]
                 if new_cand:
-                    expand(r_mask | b, r_size + 1, new_cand)
-
-    expand(0, 0, (1 << n) - 1)
-    return best, tuple(bit_list(best_set))
+                    stack.append((r_mask, r_size, cand, classes, bound, cls))
+                    r_mask |= b
+                    r_size += 1
+                    cand = new_cand
+                    break
+            elif not cls and bound > 1:
+                bound -= 1
+                cls = classes[bound - 1]
+            elif stack:  # this frame is pruned or done: resume its parent
+                r_mask, r_size, cand, classes, bound, cls = stack.pop()
+            else:
+                return best, tuple(bit_list(best_set))
 
 
 # -- chromatic number --------------------------------------------------------
@@ -103,56 +117,29 @@ class _Deadline(Exception):
     pass
 
 
-def greedy_coloring(g: Graph) -> Coloring:
-    """Deterministic saturation-greedy coloring (upper bound, not optimal)."""
-    n = g.n
-    if n == 0:
-        return Coloring(())
-    adj = g.adj
-    colors = [0] * n
-    nbr_used = [0] * n
-    # (saturation, degree) as one number, saturation * n + degree; max()
-    # over the ascending uncolored list returns the first, lowest, maximum
-    key = [row.bit_count() for row in adj]
-    uncolored = list(range(n))
-    for _ in range(n):
-        v = max(uncolored, key=key.__getitem__)
-        uncolored.remove(v)
-        used = nbr_used[v]
-        b = ~used & (used + 1)  # the least color free at v
-        colors[v] = b.bit_length()
-        rest = adj[v]
-        while rest:
-            lb = rest & -rest
-            rest ^= lb
-            w = lb.bit_length() - 1
-            if not nbr_used[w] & b:
-                nbr_used[w] |= b
-                key[w] += n
-    return Coloring(tuple(colors))
-
-
 def _k_colorable(g: Graph, k: int, clique: tuple[int, ...], deadline: float | None):
     """Find a k-coloring (colors 1..k) or prove none exists.
 
     Returns a color list, None if infeasible, or raises _Deadline.
     Branching: most saturated vertex first (ties: higher degree, lower
     index); a vertex may use at most one color beyond the maximum used.
+    With k = n and no clique, the first descent is the saturation-greedy
+    coloring: a fresh color is always free, so it never backtracks.
 
     The state is bit-parallel over the vertices (exact on the uncolored
     ones): ``forb[i]`` holds the vertices with a neighbour of color i+1,
     and each vertex's saturation (how many colors its neighbours use) is a
-    counter kept in bit slices, ``sat[j]`` holding bit j of every counter.
-    The next vertex is found by mask filtering: the saturation slices from
-    the top bit down, then the degree levels from the highest down, then
-    the lowest bit.
+    counter kept in bit slices, high bit first: ``sat[0]`` holds the high
+    bit of every counter and ``sat[-1]`` the low bit.  The next vertex is
+    found by mask filtering: the saturation slices from the top bit down,
+    then the degree levels from the highest down, then the lowest bit.
     """
     n = g.n
     adj = g.adj
     colors = [0] * n
     forb = [0] * k
     sat = [0] * k.bit_length()  # a saturation is at most k
-    slices = range(len(sat))
+    slices = range(len(sat) - 1, -1, -1)  # low bit first, for the ripples
     pre = clique[:k]
     uncolored = (1 << n) - 1
     for v in pre:
@@ -166,22 +153,26 @@ def _k_colorable(g: Graph, k: int, clique: tuple[int, ...], deadline: float | No
             carry &= s
     if not uncolored:
         return colors
-    by_degree: dict[int, int] = {}
-    for v in bits(uncolored):
-        d = adj[v].bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    levels = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    by_degree = [0] * n
+    rest = uncolored
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        by_degree[adj[b.bit_length() - 1].bit_count()] |= b
+    levels = [*filter(None, reversed(by_degree))]  # highest degree first
     ticker = 0
-
-    def dive(uncolored: int, max_used: int) -> bool:
-        nonlocal ticker
-        if not uncolored:
-            return True
+    # One frame per placed vertex: its bit and index, the uncolored mask
+    # without it, its uncolored neighbours, the colors left to try, its
+    # color index, what it newly forbade, and max_used before it.  Colors
+    # are not cleared on backtrack: success places every vertex anew.
+    stack = []
+    max_used = len(pre)
+    while uncolored:
         ticker += 1
         if deadline is not None and ticker & 1023 == 0 and time.monotonic() > deadline:
             raise _Deadline
         cand = uncolored
-        for s in reversed(sat):
+        for s in sat:
             t = cand & s
             if t:
                 cand = t
@@ -194,35 +185,42 @@ def _k_colorable(g: Graph, k: int, clique: tuple[int, ...], deadline: float | No
         v = b.bit_length() - 1
         rest = uncolored ^ b
         nb = adj[v] & rest
-        for i in range(k if max_used >= k else max_used + 1):
-            f = forb[i]
-            if f & b:
+        tries = iter(range(k if max_used >= k else max_used + 1))
+        while True:
+            for i in tries:
+                f = forb[i]
+                if not f & b:
+                    break
+            else:  # no color left here: undo the last placement, try its next color
+                if not stack:
+                    return None
+                b, v, rest, nb, tries, i, new, max_used = stack.pop()
+                if new:
+                    forb[i] ^= new
+                    for j in slices:  # subtract one, ripple borrow
+                        s = sat[j]
+                        sat[j] = s ^ new
+                        new &= ~s
+                        if not new:
+                            break
                 continue
-            colors[v] = i + 1
-            new = nb & ~f
-            if new:
-                forb[i] = f | new
-                carry = new
-                for j in slices:
-                    s = sat[j]
-                    sat[j] = s ^ carry
-                    carry &= s
-                    if not carry:
-                        break
-            if dive(rest, max_used if max_used > i else i + 1):
-                return True
-            if new:
-                forb[i] = f
-                for j in slices:  # subtract one, ripple borrow
-                    s = sat[j]
-                    sat[j] = s ^ new
-                    new &= ~s
-                    if not new:
-                        break
-        colors[v] = 0
-        return False
-
-    return colors if dive(uncolored, len(pre)) else None
+            break
+        colors[v] = i + 1
+        new = nb & ~f
+        if new:
+            forb[i] = f | new
+            carry = new
+            for j in slices:
+                s = sat[j]
+                sat[j] = s ^ carry
+                carry &= s
+                if not carry:
+                    break
+        stack.append((b, v, rest, nb, tries, i, new, max_used))
+        uncolored = rest
+        if max_used <= i:
+            max_used = i + 1
+    return colors
 
 
 def chromatic_number(
@@ -251,9 +249,8 @@ def chromatic_number(
             if not 0 <= v < n or g.adj[v] & members != members:
                 raise ValueError(f"{clique} is not a clique of the graph")
             members |= 1 << v
-    ub_coloring = greedy_coloring(g)
-    upper = ub_coloring.palette_size
-    best = ub_coloring
+    best = Coloring(tuple(_k_colorable(g, n, (), None)))
+    upper = best.palette_size
     if lower == upper:
         return ChromaticResult(lower, lower, upper, best, False, clique)
     for k in range(lower, upper):

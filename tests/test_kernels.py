@@ -32,7 +32,6 @@ from twoomega.oracles import (
     _k_colorable,
     chromatic_number,
     clique_number,
-    greedy_coloring,
 )
 from twoomega.patterns import PATTERNS, _has_p2uk3, _has_p3up2, _has_w4, _has_w5, has_induced
 from twoomega.witnesses import groetzsch, schlafli_complement
@@ -74,7 +73,8 @@ def test_corpus_size():
 
 def test_greedy_and_clique_match_reference():
     for g in corpus():
-        assert greedy_coloring(g).colors == ref_greedy_coloring(g)
+        # the exact search's first descent with k = n is the greedy coloring
+        assert tuple(_k_colorable(g, g.n, (), None)) == ref_greedy_coloring(g)
         assert clique_number(g) == ref_clique_number(g)
 
 

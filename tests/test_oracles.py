@@ -3,12 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+from twoomega.colorer import check_certificate, color_bounded
 from twoomega.graphs import complete, cycle, first_edge_in, induced
 from twoomega.oracles import (
     Coloring,
+    _k_colorable,
     chromatic_number,
     clique_number,
-    greedy_coloring,
     two_coloring,
 )
 from twoomega.witnesses import groetzsch, mycielskian, schlafli_complement
@@ -21,6 +22,7 @@ from conftest import (
     naive_clique_number,
     petersen,
     rand_graph,
+    ref_greedy_coloring,
     validate_coloring,
 )
 
@@ -180,5 +182,15 @@ def test_timeout_is_result_not_exception():
 def test_greedy_is_proper(rng):
     for _ in range(100):
         g = rand_graph(rng, rng.randrange(1, 10))
-        c = greedy_coloring(g)
-        assert validate_coloring(g, c)[0]
+        c = _k_colorable(g, g.n, (), None)  # the greedy upper bound
+        assert c == list(ref_greedy_coloring(g))
+        assert validate_coloring(g, Coloring(tuple(c)))[0]
+
+
+def test_solvers_go_deeper_than_the_recursion_limit():
+    # both searches keep an explicit stack: K_1000 puts 1,000 vertices on
+    # the clique search's stack, C_1201 1,201 on the coloring search's
+    assert clique_number(complete(1000))[0] == 1000
+    g = cycle(1201)
+    assert chromatic_number(g).chi == 3
+    assert check_certificate(g, color_bounded(g))

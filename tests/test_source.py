@@ -184,6 +184,38 @@ def test_every_definition_is_read(path):
     assert unread_definitions(source, others) + unread_methods(source, others) == []
 
 
+def self_calls(source: str) -> list[str]:
+    """Functions, nested ones and methods included, whose body calls them
+    by name (``f()``, or ``self.f()`` in a method)."""
+    out = []
+    for d in ast.walk(ast.parse(source)):
+        if isinstance(d, DEFINITIONS[:2]) and any(
+            isinstance(c, ast.Call) and (
+                isinstance(c.func, ast.Name) and c.func.id == d.name
+                or isinstance(c.func, ast.Attribute) and c.func.attr == d.name
+                and isinstance(c.func.value, ast.Name) and c.func.value.id == "self")
+            for c in ast.walk(d)
+        ):
+            out.append(d.name)
+    return out
+
+
+def test_self_calls_detected():
+    source = (
+        "def f(n):\n    return f(n - 1)\n"
+        "def g():\n    def dive(x):\n        return dive(x) or h()\n    return dive(0)\n"
+        "def h():\n    return g\nclass A:\n    def m(self):\n        return self.m()\n"
+        "    def k(self, o):\n        return o.k()\n"
+    )
+    assert self_calls(source) == ["f", "dive", "m"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_no_recursion(path):
+    # the interpreter's recursion limit would cap the input size
+    assert self_calls(path.read_text()) == []
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # a cold `twoomega color` pays for every module the package imports;
     # dataclasses (which pulls in inspect) cost about 10 ms of that
